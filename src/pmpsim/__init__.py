@@ -10,7 +10,7 @@ from .engine import ConservationError, RunResult, SimulationRun, run_scenario
 from .kernel import EventKind, RandomSource, SchedulingError, Simulator
 from .phy import Direction, FrameConfig, GrantKind, MapIE, Modulation, PhyProfile, UlMap, validate_map
 from .qos import (Connection, MacSdu, RequestMode, SchedulingClass, ServiceFlow,
-                  classify, requires_request)
+                  requires_request)
 from .bwreq import (BandwidthManager, BwRequest, ContentionState, GrantLedger,
                     OversubscribedUgsError)
 from .sched import (DwrrScheduler, FifoScheduler, PacketScheduler, SCHEDULER_NAMES,

@@ -54,13 +54,12 @@ class _FlowEntry:
 class GrantLedger:
     """Per-connection request/grant bookkeeping.
 
-    outstanding mirrors the grant scheduler's queue backlogs; the poll and
-    unsolicited schedules hold the next due time per connection;
-    granted_unused accumulates allocation bytes the station left unfilled.
+    The poll and unsolicited schedules hold the next due time per
+    connection; granted_unused accumulates allocation bytes the station left
+    unfilled. Outstanding request bytes are the grant scheduler's backlog.
     """
 
     def __init__(self):
-        self.outstanding: dict[int, int] = {}
         self.poll_next: dict[int, int] = {}
         self.unsolicited_next: dict[int, int] = {}
         self.unsolicited_size: dict[int, int] = {}
@@ -101,7 +100,6 @@ class BandwidthManager:
         else:
             if mode is RequestMode.POLL:
                 self.ledger.poll_next[cid] = 0
-            self.ledger.outstanding[cid] = 0
             self.scheduler.add_queue(cid, weight=weight, quantum=quantum)
 
     # ------------------------------------------------------------- requests
@@ -115,7 +113,6 @@ class BandwidthManager:
         entry = self.flows[req.cid]
         if requires_request(entry.cls) is RequestMode.UNSOLICITED:
             raise ValueError(f"cid {req.cid} holds unsolicited grants, requests are invalid")
-        self.ledger.outstanding[req.cid] = req.bytes_requested
         current = self.scheduler.backlog_bytes(req.cid)
         if req.bytes_requested < current:
             self.scheduler.trim_tail(req.cid, req.bytes_requested)
@@ -177,8 +174,6 @@ class BandwidthManager:
         granted: dict[int, int] = {}
         for dec in self.scheduler.select(data_budget):
             granted[dec.cid] = granted.get(dec.cid, 0) + dec.bytes
-        for cid in granted:
-            self.ledger.outstanding[cid] = self.scheduler.backlog_bytes(cid)
         data_total = sum(granted.values())
 
         contention_bytes = capacity - unsol_total - polls_total - data_total

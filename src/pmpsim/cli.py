@@ -14,6 +14,7 @@ from .bwreq import OversubscribedUgsError
 from .engine import ConservationError, run_scenario
 from .metrics import read_summary_csv
 from .scenario import Scenario, ScenarioError, load_scenario
+from .sched import SCHEDULER_NAMES
 
 VERDICT_METRICS = (
     ("bs", "delay_s", "lower"),
@@ -164,13 +165,13 @@ def build_parser() -> argparse.ArgumentParser:
         if seeded:
             sp.add_argument("--seed", type=int, default=None)
             sp.add_argument("--duration", type=int, default=None, metavar="SECONDS")
-            sp.add_argument("--ss-scheduler", default=None, choices=("wfq", "dwrr", "wrr", "fifo"))
+            sp.add_argument("--ss-scheduler", default=None, choices=SCHEDULER_NAMES)
             sp.add_argument("--strict-paper", action="store_true",
                             help="disable piggyback requests")
 
     sp = sub.add_parser("run", help="execute one deterministic run, write CSV")
     common(sp)
-    sp.add_argument("--bs-scheduler", default=None, choices=("wfq", "dwrr", "wrr", "fifo"))
+    sp.add_argument("--bs-scheduler", default=None, choices=SCHEDULER_NAMES)
     sp.add_argument("--out", default="-", help="output CSV path (default: stdout)")
     sp.set_defaults(fn=cmd_run)
 

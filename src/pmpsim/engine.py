@@ -66,7 +66,6 @@ class SimulationRun:
                 ss_id, make_scheduler(scenario.scheduler_ss), contention)
 
         self.ul_conns: dict[int, Connection] = {}
-        self.flow_of_cid: dict[int, object] = {}
         self._sources = []
         for i, spec in enumerate(scenario.flows):
             ul_cid, dl_cid = 2 * i + 1, 2 * i + 2
@@ -74,21 +73,14 @@ class SimulationRun:
             reserved = spec.rate_bps if spec.cls in (SchedulingClass.UGS,
                                                      SchedulingClass.ERTPS) else 0
             ul_flow = ServiceFlow(
-                sfid=i + 1, direction=Direction.UPLINK, cls=spec.cls,
-                min_reserved_rate_bps=reserved, max_sustained_rate_bps=reserved,
-                grant_interval_us=spec.grant_interval_us, weight=spec.weight)
-            dl_flow = ServiceFlow(
-                sfid=10_000 + i + 1, direction=Direction.DOWNLINK, cls=spec.cls,
-                min_reserved_rate_bps=reserved, max_sustained_rate_bps=reserved,
-                grant_interval_us=spec.grant_interval_us, weight=spec.weight)
+                sfid=i + 1, cls=spec.cls,
+                min_reserved_rate_bps=reserved, max_sustained_rate_bps=reserved)
             ul_conn = Connection(ul_cid, ul_flow, src=spec.src, dst=spec.dst,
-                                 traffic_kind=spec.kind,
                                  queue_cap_packets=spec.queue_packets)
-            dl_conn = Connection(dl_cid, dl_flow, src=0, dst=spec.dst,
-                                 traffic_kind=spec.kind,
+            # the relay hop carries the same service flow on to the destination
+            dl_conn = Connection(dl_cid, ul_flow, src=0, dst=spec.dst,
                                  queue_cap_packets=spec.queue_packets)
             self.ul_conns[ul_cid] = ul_conn
-            self.flow_of_cid[ul_cid] = spec
             self.sss[spec.src].add_uplink(ul_conn, spec.weight, quantum)
             self.bs.add_downlink(dl_conn, ul_cid, spec.weight, quantum)
             self.bw.register_flow(
@@ -113,12 +105,8 @@ class SimulationRun:
         self.metrics.record_offered(sdu, conn.src)
         ss = self.sss[conn.src]
         if ss.local_sched.pending(cid) >= conn.queue_cap_packets:
-            conn.dropped_packets += 1
-            conn.dropped_bytes += size_bytes
             self.metrics.record_drop(sdu, "src")
             return
-        conn.enqueued_packets += 1
-        conn.enqueued_bytes += size_bytes
         ss.local_sched.enqueue(cid, sdu.id, size_bytes,
                                arrival=self.sim.now, payload=sdu)
 
@@ -134,9 +122,7 @@ class SimulationRun:
         if self.audit is not None:
             self.audit.append(TransmissionRecord(
                 n, Direction.DOWNLINK, sdu.cid, sdu.size_bytes, start_us, end_us))
-        conn = self.bs.conns[sdu.cid]
-        self.sss[conn.dst].recv_bytes += sdu.size_bytes
-        self.metrics.record_delivery(sdu, end_us, conn.dst)
+        self.metrics.record_delivery(sdu, end_us, self.bs.conns[sdu.cid].dst)
 
     # -------------------------------------------------------------- frames
 

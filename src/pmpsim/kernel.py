@@ -18,9 +18,6 @@ class EventKind(Enum):
     FRAME_START = "frame-start"
     UL_SUBFRAME_START = "ul-subframe-start"
     PACKET_ARRIVAL = "packet-arrival"
-    GRANT_FIRE = "grant-fire"
-    METRICS_TICK = "metrics-tick"
-    SIM_END = "sim-end"
 
 
 class SchedulingError(Exception):

@@ -160,9 +160,6 @@ class MetricsCollector:
 
     # ------------------------------------------------------------ finishing
 
-    def counter(self, scope: str, name: str) -> int:
-        return self._counts.get(scope, {}).get(name, 0)
-
     def build_series(self) -> list[MetricSeries]:
         n_buckets = -(-self.duration_us // self.bucket_us)
         out = []

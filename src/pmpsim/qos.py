@@ -7,12 +7,9 @@ scheduling classes differ in how they obtain uplink bandwidth.
 
 from __future__ import annotations
 
-from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import Optional
-
-from .phy import Direction
 
 
 class SchedulingClass(Enum):
@@ -24,7 +21,6 @@ class SchedulingClass(Enum):
 
 
 class RequestMode(Enum):
-    NONE = "none"
     POLL = "poll"
     CONTENTION = "contention"
     UNSOLICITED = "unsolicited"
@@ -47,13 +43,9 @@ def requires_request(cls: SchedulingClass) -> RequestMode:
 @dataclass
 class ServiceFlow:
     sfid: int
-    direction: Direction
     cls: SchedulingClass
     min_reserved_rate_bps: int = 0
     max_sustained_rate_bps: int = 0
-    max_latency_us: Optional[int] = None
-    grant_interval_us: int = 12_500  # UGS/ertPS grant or rtPS/nrtPS poll period
-    weight: int = 1
 
     def __post_init__(self):
         if not (0 <= self.sfid < 2**32):
@@ -64,10 +56,6 @@ class ServiceFlow:
         if self.cls is SchedulingClass.UGS:
             if self.min_reserved_rate_bps != self.max_sustained_rate_bps:
                 raise ValueError("UGS flows have fixed bandwidth (min == max)")
-        if self.grant_interval_us <= 0:
-            raise ValueError("grant_interval_us must be positive")
-        if self.weight < 1:
-            raise ValueError("weight must be >= 1")
 
 
 @dataclass
@@ -86,43 +74,9 @@ class Connection:
     flow: ServiceFlow
     src: int  # station id, 0 = BS
     dst: int
-    traffic_kind: str = ""
     queue_cap_packets: int = 100
-    queue: deque = field(default_factory=deque)
-    enqueued_packets: int = 0
-    enqueued_bytes: int = 0
-    dropped_packets: int = 0
-    dropped_bytes: int = 0
 
     def __post_init__(self):
         if not (0 <= self.cid < 2**16):
             raise ValueError("cid must fit in 16 bits")
 
-    def offer(self, sdu: MacSdu) -> bool:
-        """Drop-tail enqueue; False means the packet was dropped."""
-        if len(self.queue) >= self.queue_cap_packets:
-            self.dropped_packets += 1
-            self.dropped_bytes += sdu.size_bytes
-            return False
-        self.queue.append(sdu)
-        self.enqueued_packets += 1
-        self.enqueued_bytes += sdu.size_bytes
-        return True
-
-    def backlog_bytes(self) -> int:
-        return sum(s.size_bytes for s in self.queue)
-
-
-def classify(src: int, dst: int, traffic_kind: str,
-             connections: list[Connection]) -> Optional[int]:
-    """CID of the uplink connection matching (src, dst, traffic kind), or None.
-
-    A None return means no flow is configured for the packet; the caller
-    drops it and counts the drop.
-    """
-    for conn in connections:
-        if (conn.src == src and conn.dst == dst
-                and conn.traffic_kind == traffic_kind
-                and conn.flow.direction is Direction.UPLINK):
-            return conn.cid
-    return None

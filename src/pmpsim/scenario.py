@@ -8,6 +8,7 @@ silently change an experiment. Rationals may be written as "3/4".
 from __future__ import annotations
 
 import copy
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Any, Optional
@@ -67,7 +68,23 @@ def _int(value: Any, path: str, minimum: Optional[int] = None) -> int:
     return value
 
 
-def _check_keys(d: dict, allowed: set[str], path: str) -> None:
+def _float(value: Any, path: str, minimum: float, strict: bool = False) -> float:
+    """A finite number >= minimum, or > minimum when strict."""
+    try:
+        x = float(value)
+    except (TypeError, ValueError):
+        x = None
+    if x is None or isinstance(value, bool):
+        raise ScenarioError(f"{path}: expected a number, got {value!r}")
+    if not math.isfinite(x) or x < minimum or (strict and x == minimum):
+        raise ScenarioError(
+            f"{path}: must be a finite number {'>' if strict else '>='} {minimum}, got {value!r}")
+    return x
+
+
+def _check_keys(d: Any, allowed: set[str], path: str) -> None:
+    if not isinstance(d, dict):
+        raise ScenarioError(f"{path}: must be a mapping")
     for key in d:
         if key not in allowed:
             raise ScenarioError(f"unknown key {path}.{key!r}")
@@ -151,9 +168,15 @@ class FlowSpec:
                 setattr(spec, key, _int(d[key], f"{path}.{key}", 1))
         if "stop_us" in d and d["stop_us"] is not None:
             spec.stop_us = _int(d["stop_us"], f"{path}.stop_us", 1)
-        for key in ("sigma", "page_rate_per_s", "pareto_alpha"):
-            if key in d:
-                setattr(spec, key, float(d[key]))
+        if "sigma" in d:
+            spec.sigma = _float(d["sigma"], f"{path}.sigma", 0)
+        if "page_rate_per_s" in d:
+            spec.page_rate_per_s = _float(d["page_rate_per_s"], f"{path}.page_rate_per_s",
+                                          0, strict=True)
+        if "pareto_alpha" in d:
+            # alpha <= 1 has no finite mean to scale the page sizes by
+            spec.pareto_alpha = _float(d["pareto_alpha"], f"{path}.pareto_alpha",
+                                       1, strict=True)
         spec.name = str(d.get("name", f"{kind}-ss{spec.src}-ss{spec.dst}"))
         if spec.src == spec.dst:
             raise ScenarioError(f"{path}: src and dst must differ")

@@ -4,6 +4,10 @@ All four share one contract: packets are enqueued per connection, and
 select(budget) returns the packets to transmit this frame, never exceeding
 the budget and never splitting a packet. Scheduler state (virtual time,
 deficits, rotation pointer) persists across frames.
+
+The four are two selection loops. WFQ and FIFO serve the backlogged head
+with the smallest tag, a finish tag or an arrival time. DWRR and WRR visit
+the queues in rotation and spend a per-visit credit, in bytes or in packets.
 """
 
 from __future__ import annotations
@@ -20,8 +24,7 @@ SCHEDULER_NAMES = ("wfq", "dwrr", "wrr", "fifo")
 class QueuedPacket:
     pid: int
     size: int
-    arrival: int = 0
-    tag: Fraction = Fraction(0)
+    tag: Any = 0  # service key of the min-tag loop; the rotation loop ignores it
     payload: Any = None
 
 
@@ -36,7 +39,7 @@ class ServiceDecision:
 
 class SchedulableQueue:
     __slots__ = ("cid", "weight", "quantum", "packets", "deficit",
-                 "last_finish_tag", "visit_open", "visit_left", "backlog_bytes")
+                 "last_finish_tag", "visit_open", "backlog_bytes")
 
     def __init__(self, cid: int, weight: int = 1, quantum: int = 1):
         if weight < 1:
@@ -47,10 +50,9 @@ class SchedulableQueue:
         self.weight = weight
         self.quantum = quantum
         self.packets: deque[QueuedPacket] = deque()
-        self.deficit = 0
-        self.last_finish_tag = Fraction(0)
+        self.deficit = 0          # rotation credit left, in bytes or packets
+        self.last_finish_tag = 0
         self.visit_open = False   # current rotation visit already credited
-        self.visit_left = 0       # WRR: packets still allowed in the open visit
         self.backlog_bytes = 0
 
 
@@ -70,12 +72,16 @@ class PacketScheduler:
         self._order.sort()
         return q
 
+    def tag(self, queue: SchedulableQueue, size: int, arrival: int) -> Any:
+        """Service key of a new packet: its arrival time."""
+        return arrival
+
     def enqueue(self, cid: int, pid: int, size: int, arrival: int = 0,
                 payload: Any = None) -> None:
         if size < 1:
             raise ValueError("packet size must be >= 1")
         q = self.queues[cid]
-        q.packets.append(QueuedPacket(pid, size, arrival, Fraction(0), payload))
+        q.packets.append(QueuedPacket(pid, size, self.tag(q, size, arrival), payload))
         q.backlog_bytes += size
 
     def trim_tail(self, cid: int, target_bytes: int) -> None:
@@ -97,20 +103,12 @@ class PacketScheduler:
         if not q.packets:
             q.deficit = 0
             q.visit_open = False
-            q.visit_left = 0
 
     def pending(self, cid: int) -> int:
         return len(self.queues[cid].packets)
 
     def backlog_bytes(self, cid: int) -> int:
         return self.queues[cid].backlog_bytes
-
-    def total_backlog_bytes(self) -> int:
-        return sum(q.backlog_bytes for q in self.queues.values())
-
-    def head(self, cid: int) -> Optional[QueuedPacket]:
-        q = self.queues[cid]
-        return q.packets[0] if q.packets else None
 
     def select(self, budget: int) -> list[ServiceDecision]:
         raise NotImplementedError
@@ -126,32 +124,16 @@ class PacketScheduler:
             decisions.append(ServiceDecision(cid, pkt.size, [pkt.pid], [pkt.payload]))
 
 
-class WfqScheduler(PacketScheduler):
-    """Weighted fair queueing via virtual-time finish tags.
+class MinTagScheduler(PacketScheduler):
+    """Serves the backlogged head with the smallest tag; ties go to the lower cid.
 
-    Tags are assigned at enqueue: tag = max(V, last_finish_tag) + size/weight.
-    Service picks the minimum-tag head packet; the virtual clock advances to
-    the tag of each served packet (self-clocked rule). So over any
-    backlogged window each flow's byte share tends to weight_i / sum(weights).
+    A head larger than the budget left ends selection (no fragmentation).
+    Serving a packet advances virtual_time to its tag.
     """
 
     def __init__(self):
         super().__init__()
-        self.virtual_time = Fraction(0)
-
-    def finish_tag(self, queue: SchedulableQueue, size: int) -> Fraction:
-        tag = max(self.virtual_time, queue.last_finish_tag) + Fraction(size, queue.weight)
-        queue.last_finish_tag = tag
-        return tag
-
-    def enqueue(self, cid: int, pid: int, size: int, arrival: int = 0,
-                payload: Any = None) -> None:
-        if size < 1:
-            raise ValueError("packet size must be >= 1")
-        q = self.queues[cid]
-        tag = self.finish_tag(q, size)
-        q.packets.append(QueuedPacket(pid, size, arrival, tag, payload))
-        q.backlog_bytes += size
+        self.virtual_time = 0
 
     def select(self, budget: int) -> list[ServiceDecision]:
         decisions: list[ServiceDecision] = []
@@ -168,7 +150,7 @@ class WfqScheduler(PacketScheduler):
                 break
             pkt = best.packets[0]
             if pkt.size > remaining:
-                break  # no fragmentation: an oversized head ends selection
+                break
             best.packets.popleft()
             best.backlog_bytes -= pkt.size
             remaining -= pkt.size
@@ -178,17 +160,41 @@ class WfqScheduler(PacketScheduler):
         return decisions
 
 
-class DwrrScheduler(PacketScheduler):
-    """Deficit round robin: per-visit quantum credit, byte-denominated.
+class WfqScheduler(MinTagScheduler):
+    """Weighted fair queueing via virtual-time finish tags.
 
-    Each rotation visit credits the queue's quantum once, then serves head
-    packets while the deficit and the frame budget both cover them. A head
-    larger than the deficit leaves the queue skipped with its credit
-    carried; a head larger than the remaining budget suspends the visit
-    without re-crediting it next frame, which keeps the deficit below
-    quantum + max packet size at every frame boundary. Serving a queue
-    empty resets its deficit.
+    Tags are assigned at enqueue: tag = max(V, last_finish_tag) + size/weight.
+    Service picks the minimum-tag head packet; the virtual clock advances to
+    the tag of each served packet (self-clocked rule). So over any
+    backlogged window each flow's byte share tends to weight_i / sum(weights).
     """
+
+    def finish_tag(self, queue: SchedulableQueue, size: int) -> Fraction:
+        tag = max(self.virtual_time, queue.last_finish_tag) + Fraction(size, queue.weight)
+        queue.last_finish_tag = tag
+        return tag
+
+    def tag(self, queue: SchedulableQueue, size: int, arrival: int) -> Fraction:
+        return self.finish_tag(queue, size)
+
+
+class FifoScheduler(MinTagScheduler):
+    """Global arrival order across all queues; ties broken by cid ascending."""
+
+
+class RotationScheduler(PacketScheduler):
+    """Round robin in cid order with a per-visit credit.
+
+    Each rotation visit credits the queue once, then serves head packets
+    while the credit covers their cost and the frame budget covers their
+    size. A head the credit does not cover ends the visit, and the credit
+    left carries to the next one. A head larger than the remaining budget
+    suspends the visit without re-crediting it next frame, which keeps the
+    credit below one visit's credit plus the largest cost at every frame
+    boundary. Serving a queue empty resets its credit.
+    """
+
+    byte_credit = True  # credit quantum bytes, cost = size; else weight packets, cost 1
 
     def __init__(self):
         super().__init__()
@@ -201,6 +207,7 @@ class DwrrScheduler(PacketScheduler):
         n = len(order)
         if n == 0:
             return decisions
+        by_bytes = self.byte_credit
         self._pointer %= n
         while True:
             servable = any(
@@ -214,19 +221,20 @@ class DwrrScheduler(PacketScheduler):
                 continue
             resumed = q.visit_open
             if not q.visit_open:
-                q.deficit += q.quantum
+                q.deficit += q.quantum if by_bytes else q.weight
                 q.visit_open = True
             budget_blocked = False
             while q.packets:
                 pkt = q.packets[0]
-                if pkt.size > q.deficit:
+                cost = pkt.size if by_bytes else 1
+                if cost > q.deficit:
                     break
                 if pkt.size > remaining:
                     budget_blocked = True
                     break
                 q.packets.popleft()
                 q.backlog_bytes -= pkt.size
-                q.deficit -= pkt.size
+                q.deficit -= cost
                 remaining -= pkt.size
                 self._emit(decisions, q.cid, pkt)
             if not q.packets:
@@ -241,84 +249,26 @@ class DwrrScheduler(PacketScheduler):
                     self._pointer = (self._pointer + 1) % n
                 # a completed resumed visit does not consume the rotation
                 # slot: the queue takes its fresh credited visit next, so
-                # every pass nets exactly one quantum per backlogged queue
+                # every pass nets exactly one credit per backlogged queue
         return decisions
 
 
-class WrrScheduler(PacketScheduler):
-    """Weighted round robin: up to weight_i packets per visit, size-blind."""
-
-    def __init__(self):
-        super().__init__()
-        self._pointer = 0
-
-    def select(self, budget: int) -> list[ServiceDecision]:
-        decisions: list[ServiceDecision] = []
-        remaining = budget
-        order = self._order
-        n = len(order)
-        if n == 0:
-            return decisions
-        self._pointer %= n
-        while True:
-            servable = any(
-                q.packets and q.packets[0].size <= remaining
-                for q in (self.queues[c] for c in order))
-            if not servable:
-                break
-            q = self.queues[order[self._pointer]]
-            if not q.packets or q.packets[0].size > remaining:
-                self._pointer = (self._pointer + 1) % n
-                continue
-            resumed = q.visit_open
-            if not q.visit_open:
-                q.visit_left = q.weight
-                q.visit_open = True
-            budget_blocked = False
-            while q.packets and q.visit_left > 0:
-                pkt = q.packets[0]
-                if pkt.size > remaining:
-                    budget_blocked = True
-                    break
-                q.packets.popleft()
-                q.backlog_bytes -= pkt.size
-                q.visit_left -= 1
-                remaining -= pkt.size
-                self._emit(decisions, q.cid, pkt)
-            if budget_blocked:
-                self._pointer = (self._pointer + 1) % n
-            else:
-                q.visit_open = False
-                q.visit_left = 0
-                if not resumed:
-                    self._pointer = (self._pointer + 1) % n
-        return decisions
+class DwrrScheduler(RotationScheduler):
+    """Deficit round robin: a visit credits the queue's quantum in bytes and
+    each packet costs its size, so the deficit stays below quantum + max
+    packet size at every frame boundary.
+    """
 
 
-class FifoScheduler(PacketScheduler):
-    """Global arrival order across all queues; ties broken by cid ascending."""
+class WrrScheduler(RotationScheduler):
+    """Weighted round robin: up to weight_i packets per visit, size-blind.
 
-    def select(self, budget: int) -> list[ServiceDecision]:
-        decisions: list[ServiceDecision] = []
-        remaining = budget
-        while True:
-            best: Optional[SchedulableQueue] = None
-            for cid in self._order:
-                q = self.queues[cid]
-                if not q.packets:
-                    continue
-                if best is None or q.packets[0].arrival < best.packets[0].arrival:
-                    best = q
-            if best is None:
-                break
-            pkt = best.packets[0]
-            if pkt.size > remaining:
-                break
-            best.packets.popleft()
-            best.backlog_bytes -= pkt.size
-            remaining -= pkt.size
-            self._emit(decisions, best.cid, pkt)
-        return decisions
+    A visit credits weight packets and each packet costs 1. Such a visit
+    ends only with its credit spent or its queue empty, so no credit
+    carries to the next visit.
+    """
+
+    byte_credit = False
 
 
 def make_scheduler(name: str) -> PacketScheduler:

@@ -32,8 +32,6 @@ class BaseStation:
         self.dl_sched = dl_scheduler
         self.conns: dict[int, Connection] = {}  # downlink connections by cid
         self.relay_map: dict[int, int] = {}     # uplink cid -> downlink cid
-        self.sent_bytes = 0
-        self.recv_bytes = 0
         self.protocol_errors = 0
 
     def add_downlink(self, conn: Connection, ul_cid: int, weight: int, quantum: int) -> None:
@@ -54,7 +52,6 @@ class BaseStation:
                 start_t = dl_start + cfg.tx_time_us(cursor)
                 cursor += sdu.size_bytes
                 end_t = dl_start + cfg.tx_time_us(cursor)
-                self.sent_bytes += sdu.size_bytes
                 run.deliver_downlink(sdu, n, start_t, end_t)
         ul_map = run.bw.build_ul_map(n, now=run.sim.now)
         if run.audit is not None:
@@ -65,20 +62,15 @@ class BaseStation:
 
     def receive_uplink(self, run, sdu, n: int, arrival_us: int) -> None:
         """Hand an uplink SDU to the relay; it joins the downlink queue."""
-        self.recv_bytes += sdu.size_bytes
         dl_cid = self.relay_map.get(sdu.cid)
         if dl_cid is None:
             self.protocol_errors += 1
             return
         conn = self.conns[dl_cid]
         if self.dl_sched.pending(dl_cid) >= conn.queue_cap_packets:
-            conn.dropped_packets += 1
-            conn.dropped_bytes += sdu.size_bytes
             run.metrics.record_drop(sdu, "relay")
             return
         sdu.cid = dl_cid
-        conn.enqueued_packets += 1
-        conn.enqueued_bytes += sdu.size_bytes
         self.dl_sched.enqueue(dl_cid, sdu.id, sdu.size_bytes,
                               arrival=arrival_us, payload=sdu)
 
@@ -89,8 +81,6 @@ class SubscriberStation:
         self.local_sched = local_scheduler
         self.contention = contention_state
         self.conns: dict[int, Connection] = {}  # uplink connections by cid
-        self.sent_bytes = 0
-        self.recv_bytes = 0
 
     def add_uplink(self, conn: Connection, weight: int, quantum: int) -> None:
         self.conns[conn.cid] = conn
@@ -128,7 +118,6 @@ class SubscriberStation:
                     cursor += sdu.size_bytes
                     end_t = ul_start + cfg.tx_time_us(cursor)
                     served += sdu.size_bytes
-                    self.sent_bytes += sdu.size_bytes
                     sent_data = True
                     run.uplink_arrival(self, sdu, n, start_t, end_t)
             run.metrics.record_unused_grant(length - served)

@@ -1,147 +1,250 @@
 """Independent brute-force reference schedulers.
 
 Written separately from the package, in plain step-by-step style, so the
-production schedulers can be checked against them output-for-output. Each
-reference takes queues as (cid, weight_or_quantum, [(pid, size), ...]) and
-returns the served packets as a flat [(cid, pid, size), ...] list.
+production schedulers can be checked against them output-for-output.
+
+Each `*_frames` reference takes its queues as [(cid, parameter), ...] and a
+sequence of frames. A frame is (enqueues, trims, budget): enqueues is a list
+of (cid, pid, size, arrival), trims a list of (cid, target_bytes) applied
+like `trim_tail`, and budget the byte budget of that frame's select. State
+(tags, virtual time, deficits, open visits, the rotation pointer) carries
+from one frame to the next. The result holds, per frame, the flat
+[(cid, pid, size), ...] list of served packets and each queue's rotation
+credit after the select ({cid: credit}; always 0 for wfq and fifo).
+
+The single-shot `*_reference` functions are one frame of the same reference:
+they take queues as (cid, weight_or_quantum, [(pid, size), ...]) and return
+the served list of that frame.
 """
 
 from fractions import Fraction
 
 
+def _state(queues):
+    return sorted(
+        ({"cid": c, "param": p, "packets": [], "last": 0,
+          "credit": 0, "open": False} for c, p in queues),
+        key=lambda s: s["cid"])
+
+
+def _trim(s, target):
+    """Cut bytes from the tail until the queue holds target bytes.
+
+    A packet cut short keeps its tag. A queue trimmed empty loses its credit
+    and its open visit.
+    """
+    excess = sum(p[1] for p in s["packets"]) - target
+    while excess > 0:
+        tail = s["packets"][-1]
+        if tail[1] > excess:
+            tail[1] -= excess
+            excess = 0
+        else:
+            s["packets"].pop()
+            excess -= tail[1]
+    if not s["packets"]:
+        s["credit"] = 0
+        s["open"] = False
+
+
+def _frames(state, frames, tag, select):
+    by_cid = {s["cid"]: s for s in state}
+    out = []
+    for enqueues, trims, budget in frames:
+        for cid, pid, size, arrival in enqueues:
+            s = by_cid[cid]
+            s["packets"].append([pid, size, tag(s, size, arrival)])
+        for cid, target in trims:
+            _trim(by_cid[cid], target)
+        out.append((select(budget), {s["cid"]: s["credit"] for s in state}))
+    return out
+
+
+def wfq_frames(queues, frames):
+    """queues: list of (cid, weight).
+
+    A packet's tag is max(V, the queue's previous tag) + size/weight, where V
+    is the largest tag served so far. The smallest head tag is served first,
+    ties to the lower cid; a head larger than the budget left ends the frame.
+    """
+    state = _state(queues)
+    clock = {"v": 0}
+
+    def tag(s, size, arrival):
+        s["last"] = max(clock["v"], s["last"]) + Fraction(size, s["param"])
+        return s["last"]
+
+    def select(budget):
+        served = []
+        remaining = budget
+        while True:
+            best = None
+            for s in state:
+                if not s["packets"]:
+                    continue
+                if best is None or s["packets"][0][2] < best["packets"][0][2]:
+                    best = s
+            if best is None:
+                break
+            pid, size, t = best["packets"][0]
+            if size > remaining:
+                break
+            best["packets"].pop(0)
+            remaining -= size
+            if t > clock["v"]:
+                clock["v"] = t
+            served.append((best["cid"], pid, size))
+        return served
+
+    return _frames(state, frames, tag, select)
+
+
+def fifo_frames(queues, frames):
+    """queues: list of (cid, ignored). Earliest head arrival first, ties to the lower cid."""
+    state = _state(queues)
+
+    def select(budget):
+        served = []
+        remaining = budget
+        while True:
+            best = None
+            for s in state:
+                if not s["packets"]:
+                    continue
+                if best is None or s["packets"][0][2] < best["packets"][0][2]:
+                    best = s
+            if best is None:
+                break
+            pid, size, _ = best["packets"][0]
+            if size > remaining:
+                break
+            best["packets"].pop(0)
+            remaining -= size
+            served.append((best["cid"], pid, size))
+        return served
+
+    return _frames(state, frames, lambda s, size, arrival: arrival, select)
+
+
+def dwrr_frames(queues, frames):
+    """queues: list of (cid, quantum).
+
+    The rotation visits queues in cid order. A visit adds the quantum to the
+    queue's deficit once, then serves head packets while the deficit covers
+    them. A visit the frame budget cuts short stays open: the rotation moves
+    on, and when it returns the queue goes on without a new quantum; after
+    such a resumed visit the queue's next visit follows at once. A queue
+    left empty loses its deficit.
+    """
+    state = _state(queues)
+    pos = {"ptr": 0}
+
+    def select(budget):
+        served = []
+        remaining = budget
+        n = len(state)
+        while any(s["packets"] and s["packets"][0][1] <= remaining for s in state):
+            s = state[pos["ptr"] % n]
+            if not s["packets"] or s["packets"][0][1] > remaining:
+                pos["ptr"] += 1
+                continue
+            resumed = s["open"]
+            if not resumed:
+                s["credit"] += s["param"]
+                s["open"] = True
+            blocked = False
+            while s["packets"]:
+                pid, size, _ = s["packets"][0]
+                if size > s["credit"]:
+                    break
+                if size > remaining:
+                    blocked = True
+                    break
+                s["packets"].pop(0)
+                s["credit"] -= size
+                remaining -= size
+                served.append((s["cid"], pid, size))
+            if not s["packets"]:
+                s["credit"] = 0
+            if blocked:
+                pos["ptr"] += 1
+            else:
+                s["open"] = False
+                if not resumed:
+                    pos["ptr"] += 1
+        return served
+
+    return _frames(state, frames, lambda s, size, arrival: 0, select)
+
+
+def wrr_frames(queues, frames):
+    """queues: list of (cid, weight).
+
+    The rotation visits queues in cid order; a visit may send up to weight
+    packets, whatever their size. A visit the frame budget cuts short stays
+    open with the packets it has left, as in dwrr_frames; a visit that ends
+    any other way forfeits what it has left.
+    """
+    state = _state(queues)
+    pos = {"ptr": 0}
+
+    def select(budget):
+        served = []
+        remaining = budget
+        n = len(state)
+        while any(s["packets"] and s["packets"][0][1] <= remaining for s in state):
+            s = state[pos["ptr"] % n]
+            if not s["packets"] or s["packets"][0][1] > remaining:
+                pos["ptr"] += 1
+                continue
+            resumed = s["open"]
+            if not resumed:
+                s["credit"] = s["param"]
+                s["open"] = True
+            blocked = False
+            while s["packets"] and s["credit"] > 0:
+                pid, size, _ = s["packets"][0]
+                if size > remaining:
+                    blocked = True
+                    break
+                s["packets"].pop(0)
+                s["credit"] -= 1
+                remaining -= size
+                served.append((s["cid"], pid, size))
+            if blocked:
+                pos["ptr"] += 1
+            else:
+                s["open"] = False
+                s["credit"] = 0
+                if not resumed:
+                    pos["ptr"] += 1
+        return served
+
+    return _frames(state, frames, lambda s, size, arrival: 0, select)
+
+
+def _one_frame(frames_fn, queues, budget, arrivals=None):
+    enqueues = [(cid, pid, size, arrivals[cid][i] if arrivals else 0)
+                for cid, _, packets in queues for i, (pid, size) in enumerate(packets)]
+    return frames_fn([(cid, p) for cid, p, _ in queues], [(enqueues, [], budget)])[0][0]
+
+
 def wfq_reference(queues, budget):
     """queues: list of (cid, weight, packets). Tags = cumulative size/weight."""
-    state = []
-    for cid, weight, packets in queues:
-        tags = []
-        acc = Fraction(0)
-        for pid, size in packets:
-            acc += Fraction(size, weight)
-            tags.append(acc)
-        state.append({"cid": cid, "packets": list(packets), "tags": tags})
-    state.sort(key=lambda s: s["cid"])
-
-    served = []
-    remaining = budget
-    while True:
-        best = None
-        for s in state:
-            if not s["packets"]:
-                continue
-            if best is None or s["tags"][0] < best["tags"][0]:
-                best = s
-        if best is None:
-            break
-        pid, size = best["packets"][0]
-        if size > remaining:
-            break
-        best["packets"].pop(0)
-        best["tags"].pop(0)
-        remaining -= size
-        served.append((best["cid"], pid, size))
-    return served
+    return _one_frame(wfq_frames, queues, budget)
 
 
 def dwrr_reference(queues, budget):
     """queues: list of (cid, quantum, packets)."""
-    state = sorted(
-        ({"cid": c, "quantum": q, "packets": list(p), "deficit": 0, "credited": False}
-         for c, q, p in queues),
-        key=lambda s: s["cid"])
-    served = []
-    remaining = budget
-    ptr = 0
-    n = len(state)
-    if n == 0:
-        return served
-    while True:
-        if not any(s["packets"] and s["packets"][0][1] <= remaining for s in state):
-            break
-        s = state[ptr % n]
-        ptr += 1
-        if not s["packets"] or s["packets"][0][1] > remaining:
-            continue
-        if not s["credited"]:
-            s["deficit"] += s["quantum"]
-            s["credited"] = True
-        blocked = False
-        while s["packets"]:
-            pid, size = s["packets"][0]
-            if size > s["deficit"]:
-                break
-            if size > remaining:
-                blocked = True
-                break
-            s["packets"].pop(0)
-            s["deficit"] -= size
-            remaining -= size
-            served.append((s["cid"], pid, size))
-        if not s["packets"]:
-            s["deficit"] = 0
-        if not blocked:
-            s["credited"] = False
-    return served
+    return _one_frame(dwrr_frames, queues, budget)
 
 
 def wrr_reference(queues, budget):
     """queues: list of (cid, weight, packets). Serves up to weight packets per visit."""
-    state = sorted(
-        ({"cid": c, "weight": w, "packets": list(p), "allow": 0, "credited": False}
-         for c, w, p in queues),
-        key=lambda s: s["cid"])
-    served = []
-    remaining = budget
-    ptr = 0
-    n = len(state)
-    if n == 0:
-        return served
-    while True:
-        if not any(s["packets"] and s["packets"][0][1] <= remaining for s in state):
-            break
-        s = state[ptr % n]
-        ptr += 1
-        if not s["packets"] or s["packets"][0][1] > remaining:
-            continue
-        if not s["credited"]:
-            s["allow"] = s["weight"]
-            s["credited"] = True
-        blocked = False
-        while s["packets"] and s["allow"] > 0:
-            pid, size = s["packets"][0]
-            if size > remaining:
-                blocked = True
-                break
-            s["packets"].pop(0)
-            s["allow"] -= 1
-            remaining -= size
-            served.append((s["cid"], pid, size))
-        if not blocked:
-            s["credited"] = False
-            s["allow"] = 0
-    return served
+    return _one_frame(wrr_frames, queues, budget)
 
 
 def fifo_reference(queues, budget):
     """queues: list of (cid, arrivals, packets); arrivals parallel to packets."""
-    state = sorted(
-        ({"cid": c, "packets": list(p), "arrivals": list(a)} for c, a, p in queues),
-        key=lambda s: s["cid"])
-    served = []
-    remaining = budget
-    while True:
-        best = None
-        for s in state:
-            if not s["packets"]:
-                continue
-            if best is None or s["arrivals"][0] < best["arrivals"][0]:
-                best = s
-        if best is None:
-            break
-        pid, size = best["packets"][0]
-        if size > remaining:
-            break
-        best["packets"].pop(0)
-        best["arrivals"].pop(0)
-        remaining -= size
-        served.append((best["cid"], pid, size))
-    return served
+    return _one_frame(fifo_frames, [(c, 1, p) for c, _, p in queues], budget,
+                      arrivals={c: a for c, a, _ in queues})

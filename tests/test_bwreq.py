@@ -106,11 +106,11 @@ def test_outstanding_tracks_grants():
     bw = make_manager()
     bw.register_flow(1, 1, SchedulingClass.BE, chunk_bytes=1500)
     bw.on_request(BwRequest(1, 10_000, 0, "contention"))
-    assert bw.ledger.outstanding[1] == 10_000
+    assert bw.scheduler.backlog_bytes(1) == 10_000
     m = bw.build_ul_map(0, 0)
     granted = sum(ie.grant_bytes for ie in m.ies if ie.cid == 1)
     assert granted == 10_000  # ample capacity grants everything at once
-    assert bw.ledger.outstanding[1] == 0
+    assert bw.scheduler.backlog_bytes(1) == 0
 
 
 def test_request_conservation_over_many_frames():

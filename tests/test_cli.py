@@ -122,3 +122,24 @@ def test_duration_flag_overrides(tmp_path):
     assert rc == 0
     # 2 s at 1 s buckets: bucket starts 0 and 1 appear
     assert ",load_bps,1.000000," in out.read_text()
+
+
+def _flow(kind, **fields):
+    return {"flows": [{"kind": kind, "src": 1, "dst": 2, **fields}]}
+
+
+@pytest.mark.parametrize("overrides,path", [
+    (_flow("http", page_rate_per_s=0), "flows[0].page_rate_per_s"),
+    (_flow("http", page_rate_per_s=-2.5), "flows[0].page_rate_per_s"),
+    (_flow("http", pareto_alpha="abc"), "flows[0].pareto_alpha"),
+    (_flow("http", pareto_alpha=1.0), "flows[0].pareto_alpha"),
+    (_flow("video", sigma=-0.5), "flows[0].sigma"),
+    ({"frame": 3}, "frame: must be a mapping"),
+], ids=["rate-zero", "rate-negative", "alpha-text", "alpha-one", "sigma-negative",
+        "frame-not-mapping"])
+def test_bad_scenario_exit_1_with_path(tmp_path, capsys, overrides, path):
+    rc = run_cli("run", "--scenario", tiny_file(tmp_path, **overrides),
+                 "--out", str(tmp_path / "x.csv"))
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("scenario error: ") and path in err, err

@@ -1,0 +1,49 @@
+"""Golden gate: the CSV bytes of short runs must not change.
+
+Each digest is the SHA-256 of the CSV a 5 s run writes. A change that alters
+any of them changes simulator output, and must say which digest and why.
+"""
+
+import hashlib
+import io
+
+import pytest
+
+from pmpsim import load_scenario, run_scenario
+
+# (scenario, BS scheduler, SS scheduler, seed, strict_paper, CSV SHA-256)
+GOLDEN = [
+    ("paper-pmp", "wfq", "wfq", 1, False, "9dd2e69baee10c47d76c1175bbe8f4ababb08c6d62753cd7be31e7afde19f48d"),
+    ("paper-pmp", "wfq", "wfq", 2, False, "d3de505673c1b1e8210985985584d196fd3f4cdffa98d0f9a99836eaa3ca99a7"),
+    ("paper-pmp", "dwrr", "dwrr", 1, False, "067ca020f3ed2b321a3aee47c6becb3b45e7b19bb3dcd3fe1e4c68ca639ee28e"),
+    ("paper-pmp", "dwrr", "dwrr", 2, False, "67084e15c9c3687ce75ec4eff89419d3a1611bef37659a82fd89985d8bf9cf06"),
+    ("paper-pmp", "wrr", "wrr", 1, False, "fbcd60bf366d6057ea382baa74dd6b148fd69009c6e9c3aefe1110798a7ca1c0"),
+    ("paper-pmp", "wrr", "wrr", 2, False, "54e81e8354e14bc40573cb0f9ff46d64ad17165a84a45101c33713478d59006e"),
+    ("paper-pmp", "fifo", "fifo", 1, False, "d5e6cf744babef59d2b6cb7f4245bcf61feed73521a1d3bd34bddcd84b5dc9e1"),
+    ("paper-pmp", "fifo", "fifo", 2, False, "0fb54c1bcb39baa85cc340e7efe4d2a546254d66eedfd47e35b08e16007477cf"),
+    ("paper-pmp-literal", "wfq", "wfq", 1, False, "ed6f8db5eddb32f2c11ddbe882a90f8993dfc7c264f8e4641819f26d8b43e74e"),
+    ("paper-pmp-literal", "wfq", "wfq", 2, False, "d93b2eb5c36f39afb3517f4cf8369227c58c5dac64ff985a60f4f472b46fc8ee"),
+    ("paper-pmp-literal", "dwrr", "dwrr", 1, False, "41bc147bd2bb9af20bcbe5cc48331628c438b8124aa6a93fd382230be8c8a9a6"),
+    ("paper-pmp-literal", "dwrr", "dwrr", 2, False, "ee8708ddfd6539aa48f2c14c06e2aedf6b966413a787c05e5d1183c99040ab97"),
+    ("paper-pmp-literal", "wrr", "wrr", 1, False, "aa765c2177590e939d50a96939029b9e818ed95db2587b8971dec611988314b3"),
+    ("paper-pmp-literal", "wrr", "wrr", 2, False, "340c730800c58147db38a41ee2a2480857169bde37343f9001558072ca0a3e03"),
+    ("paper-pmp-literal", "fifo", "fifo", 1, False, "020b8a100598cfd064ab26734bf4b47897310d174e45f71fb6b8bb782448a2be"),
+    ("paper-pmp-literal", "fifo", "fifo", 2, False, "75eebd3f4ce4e98f0a672dc1959decc9465baa2487029f4a5619afaac8a6dd99"),
+    # piggyback requests off
+    ("paper-pmp", "wfq", "wfq", 1, True, "66f94e01b4e3f5b3cdc6ec7781a00a94cdc0fcde662438746577f4102da5a224"),
+    # a BS/SS scheduler pair that `compare` never runs
+    ("paper-pmp", "wfq", "wrr", 1, False, "21371b430775d4e5d77ec6e334e9bbe99910b97e5c3be02b471bdca0d535dbe7"),
+]
+
+
+@pytest.mark.parametrize("name,bs,ss,seed,strict,expected", GOLDEN,
+                         ids=[f"{g[0]}-{g[1]}-{g[2]}-seed{g[3]}{'-strict' if g[4] else ''}"
+                              for g in GOLDEN])
+def test_csv_digest_unchanged(name, bs, ss, seed, strict, expected):
+    sc = load_scenario(name)
+    sc.scheduler_bs, sc.scheduler_ss, sc.seed = bs, ss, seed
+    sc.strict_paper = strict
+    sc.duration_us = 5_000_000
+    buf = io.StringIO()
+    run_scenario(sc).write_csv(buf)
+    assert hashlib.sha256(buf.getvalue().encode()).hexdigest() == expected

@@ -6,7 +6,7 @@ from pmpsim.kernel import Event, EventKind, SchedulingError, Simulator
 def test_schedule_at_current_time_fires_next_dispatch():
     sim = Simulator()
     fired = []
-    sim.schedule(0, EventKind.METRICS_TICK, lambda p: fired.append(p), "now")
+    sim.schedule(0, EventKind.PACKET_ARRIVAL, lambda p: fired.append(p), "now")
     assert sim.run_until(0) == 1
     assert fired == ["now"]
 
@@ -14,18 +14,18 @@ def test_schedule_at_current_time_fires_next_dispatch():
 def test_ties_broken_by_insertion_order():
     sim = Simulator()
     fired = []
-    sim.schedule(12_500, EventKind.METRICS_TICK, lambda p: fired.append(p), "a")
-    sim.schedule(12_500, EventKind.METRICS_TICK, lambda p: fired.append(p), "b")
+    sim.schedule(12_500, EventKind.PACKET_ARRIVAL, lambda p: fired.append(p), "a")
+    sim.schedule(12_500, EventKind.PACKET_ARRIVAL, lambda p: fired.append(p), "b")
     sim.run_until(12_500)
     assert fired == ["a", "b"]
 
 
 def test_schedule_in_past_rejected():
     sim = Simulator()
-    sim.schedule(10, EventKind.METRICS_TICK, lambda p: None)
+    sim.schedule(10, EventKind.PACKET_ARRIVAL, lambda p: None)
     sim.run_until(10)
     with pytest.raises(SchedulingError):
-        sim.schedule(5, EventKind.METRICS_TICK, lambda p: None)
+        sim.schedule(5, EventKind.PACKET_ARRIVAL, lambda p: None)
 
 
 def test_empty_queue_advances_clock():
@@ -37,9 +37,9 @@ def test_empty_queue_advances_clock():
 def test_total_order_across_times():
     sim = Simulator()
     fired = []
-    sim.schedule(2, EventKind.METRICS_TICK, lambda p: fired.append(p), "e2a")
-    sim.schedule(1, EventKind.METRICS_TICK, lambda p: fired.append(p), "e1")
-    sim.schedule(2, EventKind.METRICS_TICK, lambda p: fired.append(p), "e2b")
+    sim.schedule(2, EventKind.PACKET_ARRIVAL, lambda p: fired.append(p), "e2a")
+    sim.schedule(1, EventKind.PACKET_ARRIVAL, lambda p: fired.append(p), "e1")
+    sim.schedule(2, EventKind.PACKET_ARRIVAL, lambda p: fired.append(p), "e2b")
     sim.run_until(10)
     assert fired == ["e1", "e2a", "e2b"]
 
@@ -47,7 +47,7 @@ def test_total_order_across_times():
 def test_cancelled_event_not_dispatched():
     sim = Simulator()
     fired = []
-    ev = sim.schedule(5, EventKind.METRICS_TICK, lambda p: fired.append("x"))
+    ev = sim.schedule(5, EventKind.PACKET_ARRIVAL, lambda p: fired.append("x"))
     sim.cancel(ev)
     assert sim.run_until(10) == 0
     assert fired == []
@@ -60,9 +60,9 @@ def test_handler_can_schedule_followups():
     def tick(p):
         fired.append(sim.now)
         if sim.now < 50:
-            sim.schedule(sim.now + 10, EventKind.METRICS_TICK, tick)
+            sim.schedule(sim.now + 10, EventKind.PACKET_ARRIVAL, tick)
 
-    sim.schedule(0, EventKind.METRICS_TICK, tick)
+    sim.schedule(0, EventKind.PACKET_ARRIVAL, tick)
     sim.run_until(100)
     assert fired == [0, 10, 20, 30, 40, 50]
 

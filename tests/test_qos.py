@@ -1,13 +1,11 @@
 import pytest
 
-from pmpsim.phy import Direction
-from pmpsim.qos import (Connection, MacSdu, RequestMode, SchedulingClass,
-                        ServiceFlow, classify, requires_request)
+from pmpsim.qos import (Connection, RequestMode, SchedulingClass, ServiceFlow,
+                        requires_request)
 
 
 def flow(sfid, cls, **kw):
-    defaults = dict(direction=Direction.UPLINK, min_reserved_rate_bps=0,
-                    max_sustained_rate_bps=0)
+    defaults = dict(min_reserved_rate_bps=0, max_sustained_rate_bps=0)
     defaults.update(kw)
     return ServiceFlow(sfid=sfid, cls=cls, **defaults)
 
@@ -41,52 +39,9 @@ def test_min_rate_bounded_by_max_rate():
              max_sustained_rate_bps=1_000_000)
 
 
-def test_classify_matches_configured_flow():
-    f = flow(1, SchedulingClass.UGS, min_reserved_rate_bps=64_000,
-             max_sustained_rate_bps=64_000)
-    conns = [Connection(cid=10, flow=f, src=5, dst=1, traffic_kind="voice")]
-    assert classify(5, 1, "voice", conns) == 10
-
-
-def test_classify_no_match_returns_none():
-    assert classify(1, 2, "ftp", []) is None
-
-
-def test_classify_distinguishes_traffic_kinds():
-    f1 = flow(1, SchedulingClass.NRTPS)
-    f2 = flow(2, SchedulingClass.BE)
-    conns = [Connection(cid=10, flow=f1, src=1, dst=2, traffic_kind="ftp"),
-             Connection(cid=11, flow=f2, src=1, dst=2, traffic_kind="http")]
-    assert classify(1, 2, "ftp", conns) == 10
-    assert classify(1, 2, "http", conns) == 11
-
-
-def test_connection_drop_tail_and_conservation():
-    f = flow(1, SchedulingClass.BE)
-    conn = Connection(cid=1, flow=f, src=1, dst=2, queue_cap_packets=3)
-    accepted = 0
-    for i in range(5):
-        if conn.offer(MacSdu(id=i, cid=1, flow_cid=1, size_bytes=100, created_at=0)):
-            accepted += 1
-    assert accepted == 3
-    assert conn.dropped_packets == 2
-    assert conn.enqueued_packets == len(conn.queue) == 3
-    # conservation: enqueued = dequeued(0) + still queued + nothing else
-    assert conn.enqueued_bytes == conn.backlog_bytes() == 300
-    assert conn.dropped_bytes == 200
-
-
-def test_fifo_order_within_connection():
-    f = flow(1, SchedulingClass.BE)
-    conn = Connection(cid=1, flow=f, src=1, dst=2)
-    for i in range(4):
-        conn.offer(MacSdu(id=i, cid=1, flow_cid=1, size_bytes=10, created_at=i))
-    assert [s.id for s in conn.queue] == [0, 1, 2, 3]
-
-
 def test_cid_and_sfid_width_limits():
     with pytest.raises(ValueError):
-        ServiceFlow(sfid=2**32, direction=Direction.UPLINK, cls=SchedulingClass.BE)
+        ServiceFlow(sfid=2**32, cls=SchedulingClass.BE)
     f = flow(1, SchedulingClass.BE)
     with pytest.raises(ValueError):
         Connection(cid=2**16, flow=f, src=1, dst=2)

@@ -2,11 +2,13 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from pmpsim.sched import (DwrrScheduler, FifoScheduler, WfqScheduler,
                           WrrScheduler, make_scheduler)
 
-from oracles import dwrr_reference, fifo_reference, wfq_reference, wrr_reference
+from oracles import (dwrr_frames, dwrr_reference, fifo_frames, fifo_reference,
+                     wfq_frames, wfq_reference, wrr_frames, wrr_reference)
 
 
 def flatten(decisions, sizes):
@@ -343,6 +345,54 @@ def test_random_fifo_instances_match_reference():
         budget = rng.randint(0, 30)
         impl, sizes = build_impl("fifo", [(c, 1, p) for c, _, p in queues], arrivals)
         assert flatten(impl.select(budget), sizes) == fifo_reference(queues, budget)
+
+
+@st.composite
+def frame_sequences(draw):
+    """Queues (cid, parameter) and frames of (enqueues, trims, budget)."""
+    n = draw(st.integers(2, 3))
+    queues = [(cid, draw(st.integers(1, 10))) for cid in range(1, n + 1)]
+    frames = []
+    pid = 0
+    for f in range(draw(st.integers(1, 8))):
+        enqueues = []
+        for _ in range(draw(st.integers(0, 5))):
+            cid = draw(st.integers(1, n))
+            enqueues.append((cid, pid, draw(st.integers(1, 9)), 3 * f + draw(st.integers(0, 2))))
+            pid += 1
+        # target 0 empties the queue, which drops its credit and open visit
+        targets = st.just(0) | st.integers(1, 20)
+        trims = draw(st.lists(st.tuples(st.integers(1, n), targets), max_size=2))
+        frames.append((enqueues, trims, draw(st.integers(0, 20))))
+    return queues, frames
+
+
+@pytest.mark.parametrize("name,ref", [
+    ("wfq", wfq_frames), ("dwrr", dwrr_frames), ("wrr", wrr_frames), ("fifo", fifo_frames)])
+@settings(max_examples=200, deadline=None)
+@given(case=frame_sequences())
+def test_multi_frame_sequences_match_reference(name, ref, case):
+    # state that spans frames: tags and virtual time, carried deficits, open
+    # visits, the rotation pointer, and the resets of a queue trimmed empty
+    queues, frames = case
+    s = make_scheduler(name)
+    for cid, param in queues:
+        s.add_queue(cid, weight=param, quantum=param)
+    sizes = {}
+    got = []
+    for enqueues, trims, budget in frames:
+        for cid, pid, size, arrival in enqueues:
+            s.enqueue(cid, pid, size, arrival=arrival)
+            sizes[pid] = size
+        for cid, target in trims:
+            s.trim_tail(cid, target)
+        # a trimmed packet is served at its trimmed size
+        for q in s.queues.values():
+            for pkt in q.packets:
+                sizes[pkt.pid] = pkt.size
+        served = flatten(s.select(budget), sizes)
+        got.append((served, {cid: q.deficit for cid, q in s.queues.items()}))
+    assert got == ref(queues, frames)
 
 
 def test_budget_compliance_always():
