@@ -8,7 +8,8 @@ DWRR, WRR, FIFO) are pluggable per scenario.
 
 from .engine import ConservationError, RunResult, SimulationRun, run_scenario
 from .kernel import EventKind, RandomSource, SchedulingError, Simulator
-from .phy import Direction, FrameConfig, GrantKind, MapIE, Modulation, PhyProfile, UlMap, validate_map
+from .phy import (Direction, FrameConfig, GrantKind, IllegalMapError, MapIE, Modulation,
+                  PhyProfile, UlMap, validate_map)
 from .qos import (Connection, MacSdu, RequestMode, SchedulingClass, ServiceFlow,
                   requires_request)
 from .bwreq import (BandwidthManager, BwRequest, ContentionState, GrantLedger,

@@ -13,6 +13,7 @@ from pathlib import Path
 from .bwreq import OversubscribedUgsError
 from .engine import ConservationError, run_scenario
 from .metrics import read_summary_csv
+from .phy import IllegalMapError
 from .scenario import Scenario, ScenarioError, load_scenario
 from .sched import SCHEDULER_NAMES
 
@@ -202,7 +203,7 @@ def main(argv=None) -> int:
     except ScenarioError as e:
         print(f"scenario error: {e}", file=sys.stderr)
         return 1
-    except (OversubscribedUgsError, ConservationError) as e:
+    except (OversubscribedUgsError, ConservationError, IllegalMapError) as e:
         print(f"runtime invariant violation: {e}", file=sys.stderr)
         return 2
 

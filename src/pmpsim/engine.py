@@ -89,6 +89,7 @@ class SimulationRun:
                 packet_bytes=spec.packet_bytes, chunk_bytes=spec.mtu_bytes)
             self._sources.append(make_source(spec, ul_cid, self.sim.rng))
 
+        self._ss_order = [self.sss[s] for s in sorted(self.sss)]
         self.metrics = MetricsCollector(
             scenario.bucket_us, scenario.duration_us,
             flow_cids=sorted(self.ul_conns), ss_ids=sorted(self.sss))
@@ -139,10 +140,10 @@ class SimulationRun:
     def _ul_start(self, n: int) -> None:
         ul_map = self._current_map
         ul_start = self.sim.now
-        for ss_id in sorted(self.sss):
-            self.sss[ss_id].on_map(self, ul_map, n, ul_start)
+        for ss in self._ss_order:
+            ss.on_map(self, ul_map, n, ul_start)
         slots = ul_map.contention_bytes // self.scenario.contention.request_bytes
-        states = [self.sss[s].contention for s in sorted(self.sss)]
+        states = [ss.contention for ss in self._ss_order]
         delivered, collided = self.bw.run_contention(states, slots, self.sim.rng)
         for _slot, req in delivered:
             self.bw.on_request(req)
@@ -155,6 +156,8 @@ class SimulationRun:
             src.start(self.sim, self.scenario.duration_us, self.ingest)
         self.sim.schedule(0, EventKind.FRAME_START, self._frame_start, 0)
         self.sim.run_until(self.scenario.duration_us)
+        # sources hold self.ingest; dropping them frees the run without the cycle GC
+        self._sources.clear()
 
         queued_packets, queued_bytes = self._queued_at_end()
         summary = self.metrics.build_summary(queued_packets, queued_bytes)

@@ -2,14 +2,15 @@
 
 All simulation time is integer microseconds. The event queue is totally
 ordered by (fire_at, insertion sequence), so two runs that schedule the
-same events in the same order dispatch them identically.
+same events in the same order dispatch them identically. The heap holds
+(fire_at, seq, event) tuples, so ordering compares two integers.
 """
 
 from __future__ import annotations
 
 import heapq
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import Any, Callable
 
@@ -24,14 +25,14 @@ class SchedulingError(Exception):
     """Raised when an event is scheduled in the past (a logic bug)."""
 
 
-@dataclass(order=True)
+@dataclass(slots=True)
 class Event:
     fire_at: int
     seq: int
-    kind: EventKind = field(compare=False)
-    handler: Callable[[Any], None] = field(compare=False)
-    payload: Any = field(compare=False, default=None)
-    cancelled: bool = field(compare=False, default=False)
+    kind: EventKind
+    handler: Callable[[Any], None]
+    payload: Any = None
+    cancelled: bool = False
 
 
 class RandomSource:
@@ -72,7 +73,7 @@ class Simulator:
     def __init__(self, seed: int = 0):
         self.now: int = 0
         self.rng = RandomSource(seed)
-        self._heap: list[Event] = []
+        self._heap: list[tuple[int, int, Event]] = []
         self._next_seq = 0
         self.dispatched = 0
 
@@ -82,8 +83,8 @@ class Simulator:
             raise SchedulingError(
                 f"event {kind.value} scheduled at t={fire_at} before clock t={self.now}")
         ev = Event(fire_at, self._next_seq, kind, handler, payload)
+        heapq.heappush(self._heap, (fire_at, self._next_seq, ev))
         self._next_seq += 1
-        heapq.heappush(self._heap, ev)
         return ev
 
     def cancel(self, ev: Event) -> None:
@@ -92,8 +93,9 @@ class Simulator:
     def run_until(self, end: int) -> int:
         """Dispatch every event with fire_at <= end; clock equals end after."""
         count = 0
-        while self._heap and self._heap[0].fire_at <= end:
-            ev = heapq.heappop(self._heap)
+        heap, pop = self._heap, heapq.heappop
+        while heap and heap[0][0] <= end:
+            ev = pop(heap)[2]
             if ev.cancelled:
                 continue
             self.now = ev.fire_at

@@ -48,25 +48,6 @@ class MetricSeries:
     samples: list[tuple[int, float]] = field(default_factory=list)  # (bucket_start_us, value)
 
 
-class _Welford:
-    __slots__ = ("count", "mean", "m2")
-
-    def __init__(self):
-        self.count = 0
-        self.mean = 0.0
-        self.m2 = 0.0
-
-    def add(self, x: float) -> None:
-        self.count += 1
-        d = x - self.mean
-        self.mean += d / self.count
-        self.m2 += d * (x - self.mean)
-
-    @property
-    def variance(self) -> float:
-        return self.m2 / self.count if self.count else 0.0
-
-
 @dataclass
 class RunSummary:
     means: dict[tuple[str, str], float] = field(default_factory=dict)
@@ -83,74 +64,97 @@ class RunSummary:
     collisions: int = 0
 
 
+class _Scope:
+    """What one scope recorded: bits per bucket by metric, delay [sum, count]
+    per bucket with running (Welford) statistics, and [packets, bytes] by
+    counter. An empty container, or n == 0, means nothing was recorded.
+    """
+    __slots__ = ("bits", "delay", "counts", "n", "mean", "m2")
+
+    def __init__(self):
+        self.bits: dict[str, dict[int, int]] = {LOAD: {}, THROUGHPUT: {},
+                                                IFACE_SENT: {}, IFACE_RECV: {}}
+        self.delay: dict[int, list] = {}
+        self.counts: dict[str, list[int]] = {}
+        self.n, self.mean, self.m2 = 0, 0.0, 0.0
+
+    def add_delay(self, b: int, x: float) -> None:
+        cell = self.delay.setdefault(b, [0.0, 0])
+        cell[0] += x
+        cell[1] += 1
+        self.n += 1
+        d = x - self.mean
+        self.mean += d / self.n
+        self.m2 += d * (x - self.mean)
+
+    def count(self, counter: str, nbytes: int) -> None:
+        c = self.counts.get(counter)
+        if c is None:
+            self.counts[counter] = [1, nbytes]
+        else:
+            c[0] += 1
+            c[1] += nbytes
+
+
 class MetricsCollector:
     def __init__(self, bucket_us: int, duration_us: int,
                  flow_cids: list[int], ss_ids: list[int]):
         self.bucket_us = bucket_us
         self.duration_us = duration_us
-        self.flow_scopes = {cid: flow_scope(cid) for cid in flow_cids}
-        self.ss_scopes = {s: ss_scope(s) for s in ss_ids}
-        self._bits: dict[tuple[str, str], dict[int, int]] = {}
-        self._delay: dict[str, dict[int, list]] = {}
-        self._delay_stats: dict[str, _Welford] = {}
-        self._counts: dict[str, dict[str, int]] = {}  # scope -> counter name -> value
+        self._cell, self._bs = _Scope(), _Scope()
+        self._flows = {cid: _Scope() for cid in flow_cids}
+        self._sss = {s: _Scope() for s in ss_ids}
+        self._scopes = {SCOPE_CELL: self._cell, SCOPE_BS: self._bs,
+                        **{flow_scope(cid): sc for cid, sc in self._flows.items()},
+                        **{ss_scope(s): sc for s, sc in self._sss.items()}}
+        # flow cid -> (source station, [(load buckets, scope)] of cell, flow, source)
+        self._offered: dict[int, tuple[int, list]] = {}
         self.unused_grant_bytes = 0
         self.collisions = 0
 
     # ------------------------------------------------------------ recording
 
-    def _add_bits(self, scope: str, metric: str, t: int, bits: int) -> None:
-        buckets = self._bits.setdefault((scope, metric), {})
-        b = t // self.bucket_us
-        buckets[b] = buckets.get(b, 0) + bits
-
-    def _add_delay(self, scope: str, t: int, delay_s: float) -> None:
-        buckets = self._delay.setdefault(scope, {})
-        cell = buckets.setdefault(t // self.bucket_us, [0.0, 0])
-        cell[0] += delay_s
-        cell[1] += 1
-        self._delay_stats.setdefault(scope, _Welford()).add(delay_s)
-
-    def _count(self, scope: str, name: str, packets: int, nbytes: int) -> None:
-        c = self._counts.setdefault(scope, {})
-        c[name + "_packets"] = c.get(name + "_packets", 0) + packets
-        c[name + "_bytes"] = c.get(name + "_bytes", 0) + nbytes
-
     def record_offered(self, sdu: MacSdu, src_ss: int) -> None:
+        cached = self._offered.get(sdu.flow_cid)
+        if cached is None or cached[0] != src_ss:
+            cached = self._offered[sdu.flow_cid] = (src_ss, [
+                (sc.bits[LOAD], sc)
+                for sc in (self._cell, self._flows[sdu.flow_cid], self._sss[src_ss])])
         bits = sdu.size_bytes * 8
-        t = sdu.created_at
-        for scope in (SCOPE_CELL, self.flow_scopes[sdu.flow_cid], self.ss_scopes[src_ss]):
-            self._add_bits(scope, LOAD, t, bits)
-            self._count(scope, "generated", 1, sdu.size_bytes)
+        b = sdu.created_at // self.bucket_us
+        for buckets, sc in cached[1]:
+            buckets[b] = buckets.get(b, 0) + bits
+            sc.count("generated", sdu.size_bytes)
 
     def record_bs_ingress(self, sdu: MacSdu, t: int, src_ss: int) -> None:
         """Uplink SDU handed up at the BS: hop delay, BS load, interface in."""
         bits = sdu.size_bytes * 8
-        self._add_delay(SCOPE_BS, t, (t - sdu.created_at) / 1e6)
-        self._add_bits(SCOPE_BS, LOAD, t, bits)
-        self._add_bits(SCOPE_BS, IFACE_RECV, t, bits)
-        self._add_bits(self.ss_scopes[src_ss], IFACE_SENT, t, bits)
+        b = t // self.bucket_us
+        bs = self._bs
+        bs.add_delay(b, (t - sdu.created_at) / 1e6)
+        for buckets in (bs.bits[LOAD], bs.bits[IFACE_RECV], self._sss[src_ss].bits[IFACE_SENT]):
+            buckets[b] = buckets.get(b, 0) + bits
 
     def record_delivery(self, sdu: MacSdu, t: int, dst_ss: int) -> None:
         if sdu.delivered_at is not None:
             raise RuntimeError(f"double delivery of sdu {sdu.id}")
         sdu.delivered_at = t
         bits = sdu.size_bytes * 8
+        b = t // self.bucket_us
         delay_s = (t - sdu.created_at) / 1e6
-        fscope = self.flow_scopes[sdu.flow_cid]
-        dscope = self.ss_scopes[dst_ss]
-        for scope in (SCOPE_CELL, SCOPE_BS, fscope, dscope):
-            self._add_bits(scope, THROUGHPUT, t, bits)
-        for scope in (SCOPE_CELL, fscope, dscope):
-            self._add_delay(scope, t, delay_s)
-            self._count(scope, "delivered", 1, sdu.size_bytes)
-        self._add_bits(SCOPE_BS, IFACE_SENT, t, bits)
-        self._add_bits(dscope, IFACE_RECV, t, bits)
+        bs, dst = self._bs, self._sss[dst_ss]
+        for sc in (self._cell, self._flows[sdu.flow_cid], dst):
+            buckets = sc.bits[THROUGHPUT]
+            buckets[b] = buckets.get(b, 0) + bits
+            sc.add_delay(b, delay_s)
+            sc.count("delivered", sdu.size_bytes)
+        for buckets in (bs.bits[THROUGHPUT], bs.bits[IFACE_SENT], dst.bits[IFACE_RECV]):
+            buckets[b] = buckets.get(b, 0) + bits
 
     def record_drop(self, sdu: MacSdu, where: str) -> None:
-        for scope in (SCOPE_CELL, self.flow_scopes[sdu.flow_cid]):
-            self._count(scope, "dropped", 1, sdu.size_bytes)
-            self._count(scope, f"dropped_{where}", 1, sdu.size_bytes)
+        for sc in (self._cell, self._flows[sdu.flow_cid]):
+            sc.count("dropped", sdu.size_bytes)
+            sc.count(f"dropped_{where}", sdu.size_bytes)
 
     def record_unused_grant(self, nbytes: int) -> None:
         self.unused_grant_bytes += nbytes
@@ -162,36 +166,38 @@ class MetricsCollector:
 
     def build_series(self) -> list[MetricSeries]:
         n_buckets = -(-self.duration_us // self.bucket_us)
+        scopes = sorted(self._scopes.items())
         out = []
-        for (scope, metric), buckets in sorted(self._bits.items()):
-            series = MetricSeries(metric, scope, self.bucket_us)
-            for b in range(n_buckets):
-                bits = buckets.get(b, 0)
-                series.samples.append((b * self.bucket_us, bits * 1e6 / self.bucket_us))
-            out.append(series)
-        for scope, buckets in sorted(self._delay.items()):
-            series = MetricSeries(DELAY, scope, self.bucket_us)
-            for b in sorted(buckets):
-                total, count = buckets[b]
-                series.samples.append((b * self.bucket_us, total / count))
-            out.append(series)
+        for name, sc in scopes:
+            for metric, buckets in sorted(sc.bits.items()):
+                if buckets:
+                    out.append(MetricSeries(metric, name, self.bucket_us, [
+                        (b * self.bucket_us, buckets.get(b, 0) * 1e6 / self.bucket_us)
+                        for b in range(n_buckets)]))
+        for name, sc in scopes:
+            if sc.delay:
+                out.append(MetricSeries(DELAY, name, self.bucket_us, [
+                    (b * self.bucket_us, total / count)
+                    for b, (total, count) in sorted(sc.delay.items())]))
         return out
 
     def build_summary(self, queued_packets: dict[str, int],
                       queued_bytes: dict[str, int]) -> RunSummary:
         s = RunSummary()
         dur_s = self.duration_us / 1e6
-        for (scope, metric), buckets in self._bits.items():
-            s.means[(scope, metric)] = sum(buckets.values()) / dur_s
-        for scope, stats in self._delay_stats.items():
-            s.means[(scope, DELAY)] = stats.mean
-            s.delay_var[scope] = stats.variance
-        for scope, counters in self._counts.items():
-            for name, target in (("generated", (s.generated_packets, s.generated_bytes)),
-                                 ("delivered", (s.delivered_packets, s.delivered_bytes)),
-                                 ("dropped", (s.dropped_packets, s.dropped_bytes))):
-                target[0][scope] = counters.get(name + "_packets", 0)
-                target[1][scope] = counters.get(name + "_bytes", 0)
+        for name, sc in sorted(self._scopes.items()):
+            for metric, buckets in sorted(sc.bits.items()):
+                if buckets:
+                    s.means[(name, metric)] = sum(buckets.values()) / dur_s
+            if sc.n:
+                s.means[(name, DELAY)] = sc.mean
+                s.delay_var[name] = sc.m2 / sc.n
+            if sc.counts:
+                for counter, packets, nbytes in (
+                        ("generated", s.generated_packets, s.generated_bytes),
+                        ("delivered", s.delivered_packets, s.delivered_bytes),
+                        ("dropped", s.dropped_packets, s.dropped_bytes)):
+                    packets[name], nbytes[name] = sc.counts.get(counter, (0, 0))
         s.queued_packets_end = dict(queued_packets)
         s.queued_bytes_end = dict(queued_bytes)
         s.unused_grant_bytes = self.unused_grant_bytes

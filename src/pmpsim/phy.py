@@ -114,6 +114,10 @@ class UlMap:
     contention_bytes: int = 0
 
 
+class IllegalMapError(RuntimeError):
+    """An uplink map overlaps itself or exceeds the uplink subframe."""
+
+
 def validate_map(ul_map: UlMap, cfg: FrameConfig) -> Optional[str]:
     """None if the map is legal, else the name of the first violated constraint."""
     capacity = cfg.subframe_capacity_bytes(Direction.UPLINK)

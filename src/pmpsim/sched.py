@@ -6,16 +6,19 @@ the budget and never splitting a packet. Scheduler state (virtual time,
 deficits, rotation pointer) persists across frames.
 
 The four are two selection loops. WFQ and FIFO serve the backlogged head
-with the smallest tag, a finish tag or an arrival time. DWRR and WRR visit
-the queues in rotation and spend a per-visit credit, in bytes or in packets.
+with the smallest tag, a finish tag or an arrival time, from a heap of
+heads. DWRR and WRR visit the queues in rotation and spend a per-visit
+credit, in bytes or in packets. Neither loop scans every queue per packet.
 """
 
 from __future__ import annotations
 
+import bisect
+import heapq
+import math
 from collections import deque
 from dataclasses import dataclass, field
-from fractions import Fraction
-from typing import Any, Optional
+from typing import Any
 
 SCHEDULER_NAMES = ("wfq", "dwrr", "wrr", "fifo")
 
@@ -61,15 +64,14 @@ class PacketScheduler:
 
     def __init__(self):
         self.queues: dict[int, SchedulableQueue] = {}
-        self._order: list[int] = []  # ascending cid, the round-robin visit order
+        self._order: list[SchedulableQueue] = []  # ascending cid, the round-robin visit order
 
     def add_queue(self, cid: int, weight: int = 1, quantum: int = 1) -> SchedulableQueue:
         if cid in self.queues:
             raise ValueError(f"queue for cid {cid} already exists")
         q = SchedulableQueue(cid, weight, quantum)
         self.queues[cid] = q
-        self._order.append(cid)
-        self._order.sort()
+        bisect.insort(self._order, q, key=lambda x: x.cid)
         return q
 
     def tag(self, queue: SchedulableQueue, size: int, arrival: int) -> Any:
@@ -127,36 +129,53 @@ class PacketScheduler:
 class MinTagScheduler(PacketScheduler):
     """Serves the backlogged head with the smallest tag; ties go to the lower cid.
 
-    A head larger than the budget left ends selection (no fragmentation).
-    Serving a packet advances virtual_time to its tag.
+    A heap holds (tag, cid, seq, packet) per queue head; seq is unique, so
+    comparisons never reach the packet. An entry whose packet is no longer
+    its queue's head (after trim_tail) is dropped when it surfaces. A head
+    larger than the budget left ends selection (no fragmentation). Serving
+    a packet advances virtual_time to its tag.
     """
 
     def __init__(self):
         super().__init__()
         self.virtual_time = 0
+        self._heads: list[tuple[Any, int, int, QueuedPacket]] = []
+        self._seq = 0
+
+    def enqueue(self, cid: int, pid: int, size: int, arrival: int = 0,
+                payload: Any = None) -> None:
+        super().enqueue(cid, pid, size, arrival, payload)
+        packets = self.queues[cid].packets
+        if len(packets) == 1:  # a new head
+            heapq.heappush(self._heads, (packets[0].tag, cid, self._seq, packets[0]))
+            self._seq += 1
 
     def select(self, budget: int) -> list[ServiceDecision]:
         decisions: list[ServiceDecision] = []
         remaining = budget
-        while True:
-            best: Optional[SchedulableQueue] = None
-            for cid in self._order:
-                q = self.queues[cid]
-                if not q.packets:
-                    continue
-                if best is None or q.packets[0].tag < best.packets[0].tag:
-                    best = q
-            if best is None:
-                break
-            pkt = best.packets[0]
+        heads, queues = self._heads, self.queues
+        vt = self.virtual_time
+        while heads:
+            tag, cid, _, pkt = heads[0]
+            q = queues[cid]
+            if not q.packets or q.packets[0] is not pkt:
+                heapq.heappop(heads)  # trimmed away
+                continue
             if pkt.size > remaining:
                 break
-            best.packets.popleft()
-            best.backlog_bytes -= pkt.size
+            q.packets.popleft()
+            q.backlog_bytes -= pkt.size
             remaining -= pkt.size
-            if pkt.tag > self.virtual_time:
-                self.virtual_time = pkt.tag
-            self._emit(decisions, best.cid, pkt)
+            if tag > vt:
+                vt = tag
+            self._emit(decisions, cid, pkt)
+            if q.packets:
+                head = q.packets[0]
+                heapq.heapreplace(heads, (head.tag, cid, self._seq, head))
+                self._seq += 1
+            else:
+                heapq.heappop(heads)
+        self.virtual_time = vt
         return decisions
 
 
@@ -167,14 +186,37 @@ class WfqScheduler(MinTagScheduler):
     Service picks the minimum-tag head packet; the virtual clock advances to
     the tag of each served packet (self-clocked rule). So over any
     backlogged window each flow's byte share tends to weight_i / sum(weights).
+
+    Tags are exact integers in units of 1/tag_scale, the lcm of the queue
+    weights. A weight that changes the lcm rescales every tag alike, which
+    keeps their order and ties.
     """
 
-    def finish_tag(self, queue: SchedulableQueue, size: int) -> Fraction:
-        tag = max(self.virtual_time, queue.last_finish_tag) + Fraction(size, queue.weight)
+    def __init__(self):
+        super().__init__()
+        self.tag_scale = 1
+
+    def add_queue(self, cid: int, weight: int = 1, quantum: int = 1) -> SchedulableQueue:
+        q = super().add_queue(cid, weight, quantum)
+        scale = math.lcm(self.tag_scale, weight)
+        if scale != self.tag_scale:
+            k = scale // self.tag_scale
+            self.tag_scale = scale
+            self.virtual_time *= k
+            for other in self._order:
+                other.last_finish_tag *= k
+                for pkt in other.packets:
+                    pkt.tag *= k
+            self._heads = [(tag * k, c, seq, pkt) for tag, c, seq, pkt in self._heads]
+        return q
+
+    def finish_tag(self, queue: SchedulableQueue, size: int) -> int:
+        tag = (max(self.virtual_time, queue.last_finish_tag)
+               + size * (self.tag_scale // queue.weight))
         queue.last_finish_tag = tag
         return tag
 
-    def tag(self, queue: SchedulableQueue, size: int, arrival: int) -> Fraction:
+    def tag(self, queue: SchedulableQueue, size: int, arrival: int) -> int:
         return self.finish_tag(queue, size)
 
 
@@ -208,17 +250,18 @@ class RotationScheduler(PacketScheduler):
         if n == 0:
             return decisions
         by_bytes = self.byte_credit
-        self._pointer %= n
-        while True:
-            servable = any(
-                q.packets and q.packets[0].size <= remaining
-                for q in (self.queues[c] for c in order))
-            if not servable:
-                break
-            q = self.queues[order[self._pointer]]
+        ptr = self._pointer % n
+        # Selection ends after n consecutive slots with nothing servable:
+        # nothing is served in between, so that is every queue, and the lap
+        # ends on the slot where it started.
+        skipped = 0
+        while skipped < n:
+            q = order[ptr]
             if not q.packets or q.packets[0].size > remaining:
-                self._pointer = (self._pointer + 1) % n
+                ptr = (ptr + 1) % n
+                skipped += 1
                 continue
+            skipped = 0
             resumed = q.visit_open
             if not q.visit_open:
                 q.deficit += q.quantum if by_bytes else q.weight
@@ -242,14 +285,15 @@ class RotationScheduler(PacketScheduler):
             if budget_blocked:
                 # the visit stays open: the queue keeps its credit and is not
                 # re-credited when the rotation returns to it
-                self._pointer = (self._pointer + 1) % n
+                ptr = (ptr + 1) % n
             else:
                 q.visit_open = False
                 if not resumed:
-                    self._pointer = (self._pointer + 1) % n
+                    ptr = (ptr + 1) % n
                 # a completed resumed visit does not consume the rotation
                 # slot: the queue takes its fresh credited visit next, so
                 # every pass nets exactly one credit per backlogged queue
+        self._pointer = ptr
         return decisions
 
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .bwreq import BwRequest
-from .phy import Direction, GrantKind, MapIE, UlMap, validate_map
+from .phy import Direction, GrantKind, IllegalMapError, MapIE, UlMap, validate_map
 from .qos import Connection, RequestMode, SchedulingClass, requires_request
 from .sched import PacketScheduler
 
@@ -54,10 +54,9 @@ class BaseStation:
                 end_t = dl_start + cfg.tx_time_us(cursor)
                 run.deliver_downlink(sdu, n, start_t, end_t)
         ul_map = run.bw.build_ul_map(n, now=run.sim.now)
-        if run.audit is not None:
-            violation = validate_map(ul_map, cfg)
-            if violation is not None:
-                raise RuntimeError(f"frame {n}: illegal uplink map ({violation})")
+        violation = validate_map(ul_map, cfg)
+        if violation is not None:
+            raise IllegalMapError(f"frame {n}: illegal uplink map ({violation})")
         return ul_map
 
     def receive_uplink(self, run, sdu, n: int, arrival_us: int) -> None:
@@ -103,10 +102,9 @@ class SubscriberStation:
 
     def on_map(self, run, ul_map: UlMap, n: int, ul_start: int) -> None:
         cfg = run.cfg
-        my_data = [ie for ie in ul_map.ies
-                   if ie.ss_id == self.ss_id and ie.kind is GrantKind.DATA]
-        my_polls = [ie for ie in ul_map.ies
-                    if ie.ss_id == self.ss_id and ie.kind is GrantKind.POLL]
+        mine = [ie for ie in ul_map.ies if ie.ss_id == self.ss_id]
+        my_data = [ie for ie in mine if ie.kind is GrantKind.DATA]
+        my_polls = [ie for ie in mine if ie.kind is GrantKind.POLL]
 
         sent_data = False
         for offset, length, window_cid in self._merged_windows(my_data):

@@ -2,7 +2,10 @@ import yaml
 
 import pytest
 
+from pmpsim import load_scenario, run_scenario
+from pmpsim.bwreq import BandwidthManager
 from pmpsim.cli import main
+from pmpsim.phy import GrantKind, IllegalMapError, MapIE
 
 
 def run_cli(*argv):
@@ -113,6 +116,24 @@ def test_oversubscribed_ugs_exit_2(tmp_path):
     }))
     assert run_cli("run", "--scenario", str(path), "--out",
                    str(tmp_path / "x.csv")) == 2
+
+
+def test_illegal_map_exit_2(tmp_path, monkeypatch, capsys):
+    # every map's first data grant overlaps the next IE: the per-frame check
+    # runs without record_audit and stops the run
+    build = BandwidthManager.build_ul_map
+
+    def overlapping(self, frame_index, now):
+        ul_map = build(self, frame_index, now)
+        ul_map.ies.insert(0, MapIE(1, 1, 0, 8, GrantKind.DATA))
+        return ul_map
+
+    monkeypatch.setattr(BandwidthManager, "build_ul_map", overlapping)
+    with pytest.raises(IllegalMapError, match="frame 0: illegal uplink map"):
+        run_scenario(load_scenario("paper-pmp"))
+    assert run_cli("run", "--out", str(tmp_path / "x.csv")) == 2
+    assert "illegal uplink map (overlap)" in capsys.readouterr().err
+    assert not (tmp_path / "x.csv").exists()
 
 
 def test_duration_flag_overrides(tmp_path):

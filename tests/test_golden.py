@@ -1,7 +1,9 @@
 """Golden gate: the CSV bytes of short runs must not change.
 
-Each digest is the SHA-256 of the CSV a 5 s run writes. A change that alters
-any of them changes simulator output, and must say which digest and why.
+Each digest is the SHA-256 of the CSV a short run writes: 5 s of a built-in
+5-SS scenario, or 2 s of a 40-SS cell whose BS schedulers hold 40 queues. A
+change that alters any of them changes simulator output, and must say which
+digest and why.
 """
 
 import hashlib
@@ -9,7 +11,7 @@ import io
 
 import pytest
 
-from pmpsim import load_scenario, run_scenario
+from pmpsim import Scenario, load_scenario, run_scenario
 
 # (scenario, BS scheduler, SS scheduler, seed, strict_paper, CSV SHA-256)
 GOLDEN = [
@@ -36,6 +38,31 @@ GOLDEN = [
 ]
 
 
+# 40 stations, one uplink flow each, flow kinds cycling; (scheduler, CSV SHA-256)
+WIDE_GOLDEN = [
+    ("wfq", "104209d7674eedd7f64faeed1ef8e106389de817930799c2925c07d938af35ff"),
+    ("dwrr", "dd6ea8fe27e93875a15bb24d0dc1f0290f6fbb80408ee520c1e9a85fbcb3f428"),
+    ("wrr", "1dbd71f9926cca22a2114c770bae2c1062e910f80a08a54906e0c1255e937a84"),
+    ("fifo", "f2e0f39e4803a2a585de1f21c013ef171a2b07310cc4f579f48359272169a155"),
+]
+WIDE_KINDS = ("ftp", "video", "http", "voip_silence", "voice")
+
+
+def _digest(result) -> str:
+    buf = io.StringIO()
+    result.write_csv(buf)
+    return hashlib.sha256(buf.getvalue().encode()).hexdigest()
+
+
+def wide_cell(scheduler: str, stations: int = 40) -> Scenario:
+    flows = [{"kind": WIDE_KINDS[i % len(WIDE_KINDS)], "src": i + 1,
+              "dst": (i + 7) % stations + 1} for i in range(stations)]
+    return Scenario.from_dict({
+        "name": f"wide-{stations}ss", "stations": {"count": stations},
+        "schedulers": {"bs": scheduler, "ss": scheduler},
+        "flows": flows, "run": {"seed": 1, "duration_us": 2_000_000}})
+
+
 @pytest.mark.parametrize("name,bs,ss,seed,strict,expected", GOLDEN,
                          ids=[f"{g[0]}-{g[1]}-{g[2]}-seed{g[3]}{'-strict' if g[4] else ''}"
                               for g in GOLDEN])
@@ -44,6 +71,9 @@ def test_csv_digest_unchanged(name, bs, ss, seed, strict, expected):
     sc.scheduler_bs, sc.scheduler_ss, sc.seed = bs, ss, seed
     sc.strict_paper = strict
     sc.duration_us = 5_000_000
-    buf = io.StringIO()
-    run_scenario(sc).write_csv(buf)
-    assert hashlib.sha256(buf.getvalue().encode()).hexdigest() == expected
+    assert _digest(run_scenario(sc)) == expected
+
+
+@pytest.mark.parametrize("scheduler,expected", WIDE_GOLDEN, ids=[g[0] for g in WIDE_GOLDEN])
+def test_wide_cell_csv_digest_unchanged(scheduler, expected):
+    assert _digest(run_scenario(wide_cell(scheduler))) == expected

@@ -21,16 +21,20 @@ def flatten(decisions, sizes):
 
 # ---------------------------------------------------------------- WFQ
 
+# finish tags are integers in units of 1/tag_scale
+
 def test_finish_tag_identity_case():
     s = WfqScheduler()
     q = s.add_queue(1, weight=1)
-    assert s.finish_tag(q, 100) == Fraction(100)
+    tag = s.finish_tag(q, 100)
+    assert Fraction(tag, s.tag_scale) == 100
 
 
 def test_finish_tag_weight_scaling():
     s = WfqScheduler()
     q = s.add_queue(1, weight=4)
-    assert s.finish_tag(q, 100) == Fraction(25)
+    tag = s.finish_tag(q, 100)
+    assert Fraction(tag, s.tag_scale) == 25
 
 
 def test_wfq_hand_stepped_service_order():
@@ -347,6 +351,26 @@ def test_random_fifo_instances_match_reference():
         assert flatten(impl.select(budget), sizes) == fifo_reference(queues, budget)
 
 
+def served_frames(s, frames, sizes=None):
+    """Drive a scheduler through (enqueues, trims, budget) frames as the
+    `*_frames` oracles do; per frame, the served packets and each credit."""
+    sizes = {} if sizes is None else sizes
+    got = []
+    for enqueues, trims, budget in frames:
+        for cid, pid, size, arrival in enqueues:
+            s.enqueue(cid, pid, size, arrival=arrival)
+            sizes[pid] = size
+        for cid, target in trims:
+            s.trim_tail(cid, target)
+        # a trimmed packet is served at its trimmed size
+        for q in s.queues.values():
+            for pkt in q.packets:
+                sizes[pkt.pid] = pkt.size
+        got.append((flatten(s.select(budget), sizes),
+                    {cid: q.deficit for cid, q in s.queues.items()}))
+    return got
+
+
 @st.composite
 def frame_sequences(draw):
     """Queues (cid, parameter) and frames of (enqueues, trims, budget)."""
@@ -378,21 +402,65 @@ def test_multi_frame_sequences_match_reference(name, ref, case):
     s = make_scheduler(name)
     for cid, param in queues:
         s.add_queue(cid, weight=param, quantum=param)
+    assert served_frames(s, frames) == ref(queues, frames)
+
+
+def test_wfq_add_queue_rescales_queued_tags():
+    # weights 2, then 3 and 4 with packets queued: tag_scale goes 2 -> 6 -> 12.
+    # A queue added late has no tag history, like an idle queue known from
+    # the start, so the reference holds all three queues throughout.
+    frames = [([(1, 0, 7, 0), (1, 1, 5, 0)], [], 7),
+              ([(2, 2, 9, 0), (3, 3, 4, 0), (1, 4, 3, 0), (3, 5, 8, 0)], [], 40)]
+    s = WfqScheduler()
+    s.add_queue(1, weight=2)
     sizes = {}
-    got = []
-    for enqueues, trims, budget in frames:
-        for cid, pid, size, arrival in enqueues:
-            s.enqueue(cid, pid, size, arrival=arrival)
-            sizes[pid] = size
-        for cid, target in trims:
-            s.trim_tail(cid, target)
-        # a trimmed packet is served at its trimmed size
-        for q in s.queues.values():
-            for pkt in q.packets:
-                sizes[pkt.pid] = pkt.size
-        served = flatten(s.select(budget), sizes)
-        got.append((served, {cid: q.deficit for cid, q in s.queues.items()}))
+    got = served_frames(s, frames[:1], sizes)
+    s.add_queue(2, weight=3)
+    assert s.tag_scale == 6
+    s.add_queue(3, weight=4)
+    assert s.tag_scale == 12
+    assert Fraction(s.virtual_time, s.tag_scale) == Fraction(7, 2)
+    assert Fraction(s.queues[1].packets[0].tag, s.tag_scale) == 6
+    got += served_frames(s, frames[1:], sizes)
+    ref = wfq_frames([(1, 2), (2, 3), (3, 4)], frames)
+    assert [served for served, _ in got] == [served for served, _ in ref]
+
+
+@pytest.mark.parametrize("name,ref", [("wfq", wfq_frames), ("fifo", fifo_frames)])
+def test_trimmed_empty_head_is_never_served(name, ref):
+    queues = [(1, 1), (2, 3)]
+    frames = [
+        ([(1, 0, 5, 0), (1, 1, 6, 1), (2, 2, 9, 2)], [(1, 0)], 0),
+        # the stale head of queue 1 sorts first but must not be served
+        ([(1, 3, 4, 3), (2, 4, 2, 4)], [], 30),
+        ([(1, 5, 3, 5)], [(1, 0)], 30),
+        ([], [], 30),
+    ]
+    s = make_scheduler(name)
+    for cid, w in queues:
+        s.add_queue(cid, weight=w)
+    got = served_frames(s, frames)
     assert got == ref(queues, frames)
+    assert all(pid not in (0, 1, 5) for served, _ in got for _, pid, _ in served)
+
+
+@pytest.mark.parametrize("name,ref", [("dwrr", dwrr_frames), ("wrr", wrr_frames)])
+def test_rotation_with_many_idle_queues(name, ref):
+    # 200 queues, of which only 17 and 154 are ever backlogged
+    queues = [(cid, 1 + cid % 5) for cid in range(1, 201)]
+    rng = random.Random(8)
+    frames, pid = [], 0
+    for f in range(12):
+        enqueues = []
+        for cid in (17, 154):
+            for _ in range(rng.randint(0, 4)):
+                enqueues.append((cid, pid, rng.randint(1, 9), f))
+                pid += 1
+        frames.append((enqueues, [], rng.randint(0, 25)))
+    s = make_scheduler(name)
+    for cid, param in queues:
+        s.add_queue(cid, weight=param, quantum=param)
+    assert served_frames(s, frames) == ref(queues, frames)
 
 
 def test_budget_compliance_always():
