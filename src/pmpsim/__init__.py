@@ -10,10 +10,8 @@ from .engine import ConservationError, RunResult, SimulationRun, run_scenario
 from .kernel import EventKind, RandomSource, SchedulingError, Simulator
 from .phy import (Direction, FrameConfig, GrantKind, IllegalMapError, MapIE, Modulation,
                   PhyProfile, UlMap, validate_map)
-from .qos import (Connection, MacSdu, RequestMode, SchedulingClass, ServiceFlow,
-                  requires_request)
-from .bwreq import (BandwidthManager, BwRequest, ContentionState, GrantLedger,
-                    OversubscribedUgsError)
+from .qos import Connection, MacSdu, RequestMode, SchedulingClass, requires_request
+from .bwreq import BandwidthManager, BwRequest, ContentionState, OversubscribedUgsError
 from .sched import (DwrrScheduler, FifoScheduler, PacketScheduler, SCHEDULER_NAMES,
                     ServiceDecision, WfqScheduler, WrrScheduler, make_scheduler)
 from .scenario import FlowSpec, Scenario, ScenarioError, load_scenario

@@ -28,8 +28,6 @@ class OversubscribedUgsError(RuntimeError):
 class BwRequest:
     cid: int
     bytes_requested: int
-    issued_at: int
-    mode: str  # poll-response | contention | piggyback
 
 
 @dataclass
@@ -44,38 +42,21 @@ class ContentionState:
 
 @dataclass
 class _FlowEntry:
-    cid: int
     ss_id: int
     cls: SchedulingClass
     grant_interval_us: int
     chunk_bytes: int
-
-
-class GrantLedger:
-    """Per-connection request/grant bookkeeping.
-
-    The poll and unsolicited schedules hold the next due time per
-    connection; granted_unused accumulates allocation bytes the station left
-    unfilled. Outstanding request bytes are the grant scheduler's backlog.
-    """
-
-    def __init__(self):
-        self.poll_next: dict[int, int] = {}
-        self.unsolicited_next: dict[int, int] = {}
-        self.unsolicited_size: dict[int, int] = {}
-        self.granted_unused: dict[int, int] = {}
-
-    def note_unused(self, cid: int, nbytes: int) -> None:
-        if nbytes > 0:
-            self.granted_unused[cid] = self.granted_unused.get(cid, 0) + nbytes
-
-
-def _grant_size(interval_us: int, rate_bps: int) -> int:
-    return -(-interval_us * rate_bps // 8_000_000)
+    # unsolicited grant of a talking flow: one interval at the flow's rate,
+    # and at least one packet
+    talk_grant_bytes: int
 
 
 class BandwidthManager:
-    """Aggregates requests and builds the per-frame uplink map."""
+    """Aggregates requests and builds the per-frame uplink map.
+
+    The poll and unsolicited schedules hold the next due time per
+    connection. Outstanding request bytes are the grant scheduler's backlog.
+    """
 
     def __init__(self, cfg: FrameConfig, scheduler: PacketScheduler, *,
                  request_bytes: int = 8, min_contention_slots: int = 4):
@@ -83,23 +64,25 @@ class BandwidthManager:
         self.scheduler = scheduler
         self.request_bytes = request_bytes
         self.min_contention_slots = min_contention_slots
-        self.ledger = GrantLedger()
         self.flows: dict[int, _FlowEntry] = {}
+        self.poll_next: dict[int, int] = {}
+        self.unsolicited_next: dict[int, int] = {}
+        self.unsolicited_size: dict[int, int] = {}
         self._chunk_pid = 0
 
     def register_flow(self, cid: int, ss_id: int, cls: SchedulingClass, *,
                       weight: int = 1, quantum: int = 1518,
                       grant_interval_us: int = 12_500, rate_bps: int = 0,
                       packet_bytes: int = 1500, chunk_bytes: int = 1500) -> None:
-        self.flows[cid] = _FlowEntry(cid, ss_id, cls, grant_interval_us, chunk_bytes)
+        talk = max(-(-grant_interval_us * rate_bps // 8_000_000), packet_bytes)
+        self.flows[cid] = _FlowEntry(ss_id, cls, grant_interval_us, chunk_bytes, talk)
         mode = requires_request(cls)
         if mode is RequestMode.UNSOLICITED:
-            size = max(_grant_size(grant_interval_us, rate_bps), packet_bytes)
-            self.ledger.unsolicited_next[cid] = 0
-            self.ledger.unsolicited_size[cid] = size
+            self.unsolicited_next[cid] = 0
+            self.unsolicited_size[cid] = talk
         else:
             if mode is RequestMode.POLL:
-                self.ledger.poll_next[cid] = 0
+                self.poll_next[cid] = 0
             self.scheduler.add_queue(cid, weight=weight, quantum=quantum)
 
     # ------------------------------------------------------------- requests
@@ -124,33 +107,32 @@ class BandwidthManager:
                 self._chunk_pid += 1
                 left -= size
 
-    def set_ertps_rate(self, cid: int, rate_bps: int) -> None:
-        """ertPS grant-size adjustment; takes effect from the next frame."""
+    def set_ertps_talking(self, cid: int, talking: bool) -> None:
+        """ertPS grant-size adjustment; takes effect from the next frame.
+
+        A silent flow keeps only the minimal request-carrying allocation.
+        """
         entry = self.flows[cid]
         if entry.cls is not SchedulingClass.ERTPS:
             raise ValueError("only ertPS grants are adjustable")
-        if rate_bps <= 0:
-            size = self.request_bytes  # minimal request-carrying allocation
-        else:
-            size = _grant_size(entry.grant_interval_us, rate_bps)
-        self.ledger.unsolicited_size[cid] = size
+        self.unsolicited_size[cid] = entry.talk_grant_bytes if talking else self.request_bytes
 
     # --------------------------------------------------------------- grants
 
     def issue_unsolicited(self, now: int) -> list[tuple[int, int]]:
         grants = []
-        for cid in sorted(self.ledger.unsolicited_next):
-            while self.ledger.unsolicited_next[cid] <= now:
-                grants.append((cid, self.ledger.unsolicited_size[cid]))
-                self.ledger.unsolicited_next[cid] += self.flows[cid].grant_interval_us
+        for cid in sorted(self.unsolicited_next):
+            while self.unsolicited_next[cid] <= now:
+                grants.append((cid, self.unsolicited_size[cid]))
+                self.unsolicited_next[cid] += self.flows[cid].grant_interval_us
         return grants
 
     def poll_flows(self, now: int) -> list[int]:
         due = []
-        for cid in sorted(self.ledger.poll_next):
-            if self.ledger.poll_next[cid] <= now:
-                while self.ledger.poll_next[cid] <= now:
-                    self.ledger.poll_next[cid] += self.flows[cid].grant_interval_us
+        for cid in sorted(self.poll_next):
+            if self.poll_next[cid] <= now:
+                while self.poll_next[cid] <= now:
+                    self.poll_next[cid] += self.flows[cid].grant_interval_us
                 due.append(cid)
         return due
 
@@ -182,15 +164,12 @@ class BandwidthManager:
         ul_map = UlMap(frame_index)
         cursor = 0
         by_ss: dict[int, list[MapIE]] = {}
-        for cid, nbytes in sorted(unsolicited):
-            by_ss.setdefault(self.flows[cid].ss_id, []).append(
-                MapIE(cid, self.flows[cid].ss_id, 0, nbytes, GrantKind.DATA))
-        for cid in sorted(granted):
-            by_ss.setdefault(self.flows[cid].ss_id, []).append(
-                MapIE(cid, self.flows[cid].ss_id, 0, granted[cid], GrantKind.DATA))
-        for cid in polls:
-            by_ss.setdefault(self.flows[cid].ss_id, []).append(
-                MapIE(cid, self.flows[cid].ss_id, 0, self.request_bytes, GrantKind.POLL))
+        grants = [(cid, nbytes, GrantKind.DATA) for cid, nbytes in sorted(unsolicited)]
+        grants += [(cid, granted[cid], GrantKind.DATA) for cid in sorted(granted)]
+        grants += [(cid, self.request_bytes, GrantKind.POLL) for cid in polls]
+        for cid, nbytes, kind in grants:
+            ss_id = self.flows[cid].ss_id
+            by_ss.setdefault(ss_id, []).append(MapIE(cid, ss_id, 0, nbytes, kind))
         for ss_id in sorted(by_ss):
             for ie in by_ss[ss_id]:
                 ie.offset_bytes = cursor

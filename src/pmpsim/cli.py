@@ -101,7 +101,10 @@ def cmd_compare(args) -> int:
     schedulers = [s.strip() for s in args.schedulers.split(",") if s.strip()]
     if len(schedulers) < 2:
         raise ScenarioError("compare needs at least two schedulers")
-    seeds = [int(s) for s in args.seeds.split(",") if s.strip()]
+    try:
+        seeds = [int(s) for s in args.seeds.split(",") if s.strip()]
+    except ValueError:
+        raise ScenarioError(f"--seeds: expected comma-separated integers, got {args.seeds!r}")
     if not seeds:
         raise ScenarioError("compare needs at least one seed")
     base = _load(args)
@@ -116,7 +119,6 @@ def cmd_compare(args) -> int:
             # SS-side scheduler follows the BS unless pinned explicitly
             sc.scheduler_ss = args.ss_scheduler or sched
             sc.seed = seed
-            sc.validate()
             result = run_scenario(sc)
             path = out_dir / f"run_{sched}_seed{seed}.csv"
             with open(path, "w") as fh:
@@ -137,7 +139,6 @@ def cmd_compare(args) -> int:
 
 def cmd_validate(args) -> int:
     sc = load_scenario(args.scenario)
-    sc.validate()
     print(f"scenario {sc.name!r} is valid: {sc.station_count} stations, "
           f"{len(sc.flows)} flows, {sc.duration_us / 1e6:.3f} s")
     return 0

@@ -17,7 +17,7 @@ from .kernel import EventKind, Simulator
 from .metrics import (MetricSeries, MetricsCollector, RunMeta, RunSummary,
                       SCOPE_CELL, emit_csv, flow_scope)
 from .phy import Direction, UlMap
-from .qos import Connection, MacSdu, SchedulingClass, ServiceFlow
+from .qos import Connection, MacSdu
 from .sched import make_scheduler
 from .scenario import Scenario
 from .stations import BaseStation, SubscriberStation, TransmissionRecord
@@ -31,7 +31,6 @@ class ConservationError(RuntimeError):
 @dataclass
 class RunResult:
     meta: RunMeta
-    scenario: Scenario
     summary: RunSummary
     series: list[MetricSeries]
     dispatched: int
@@ -70,15 +69,10 @@ class SimulationRun:
         for i, spec in enumerate(scenario.flows):
             ul_cid, dl_cid = 2 * i + 1, 2 * i + 2
             quantum = spec.weight * scenario.base_quantum_bytes
-            reserved = spec.rate_bps if spec.cls in (SchedulingClass.UGS,
-                                                     SchedulingClass.ERTPS) else 0
-            ul_flow = ServiceFlow(
-                sfid=i + 1, cls=spec.cls,
-                min_reserved_rate_bps=reserved, max_sustained_rate_bps=reserved)
-            ul_conn = Connection(ul_cid, ul_flow, src=spec.src, dst=spec.dst,
+            ul_conn = Connection(ul_cid, spec.cls, src=spec.src, dst=spec.dst,
                                  queue_cap_packets=spec.queue_packets)
-            # the relay hop carries the same service flow on to the destination
-            dl_conn = Connection(dl_cid, ul_flow, src=0, dst=spec.dst,
+            # the relay hop carries the same flow on to the destination
+            dl_conn = Connection(dl_cid, spec.cls, src=0, dst=spec.dst,
                                  queue_cap_packets=spec.queue_packets)
             self.ul_conns[ul_cid] = ul_conn
             self.sss[spec.src].add_uplink(ul_conn, spec.weight, quantum)
@@ -164,7 +158,7 @@ class SimulationRun:
         self._audit_conservation(summary)
         meta = RunMeta(self.scenario.name, self.scenario.scheduler_bs,
                        self.scenario.scheduler_ss, self.scenario.seed)
-        return RunResult(meta, self.scenario, summary, self.metrics.build_series(),
+        return RunResult(meta, summary, self.metrics.build_series(),
                          self.sim.dispatched, self.audit, self.ul_maps)
 
     def _queued_at_end(self) -> tuple[dict[str, int], dict[str, int]]:

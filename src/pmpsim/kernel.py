@@ -3,14 +3,13 @@
 All simulation time is integer microseconds. The event queue is totally
 ordered by (fire_at, insertion sequence), so two runs that schedule the
 same events in the same order dispatch them identically. The heap holds
-(fire_at, seq, event) tuples, so ordering compares two integers.
+(fire_at, seq, handler, payload) tuples, so ordering compares two integers.
 """
 
 from __future__ import annotations
 
 import heapq
 import random
-from dataclasses import dataclass
 from enum import Enum
 from typing import Any, Callable
 
@@ -25,16 +24,6 @@ class SchedulingError(Exception):
     """Raised when an event is scheduled in the past (a logic bug)."""
 
 
-@dataclass(slots=True)
-class Event:
-    fire_at: int
-    seq: int
-    kind: EventKind
-    handler: Callable[[Any], None]
-    payload: Any = None
-    cancelled: bool = False
-
-
 class RandomSource:
     """Seeded pseudo-random source with per-subsystem substreams.
 
@@ -46,7 +35,6 @@ class RandomSource:
     """
 
     def __init__(self, seed: int):
-        self.seed = seed
         self._mac = random.Random(seed)
         self._traffic = random.Random(seed * 1_000_003 + 1)
 
@@ -73,33 +61,26 @@ class Simulator:
     def __init__(self, seed: int = 0):
         self.now: int = 0
         self.rng = RandomSource(seed)
-        self._heap: list[tuple[int, int, Event]] = []
+        self._heap: list[tuple[int, int, Callable[[Any], None], Any]] = []
         self._next_seq = 0
         self.dispatched = 0
 
     def schedule(self, fire_at: int, kind: EventKind,
-                 handler: Callable[[Any], None], payload: Any = None) -> Event:
+                 handler: Callable[[Any], None], payload: Any = None) -> None:
         if fire_at < self.now:
             raise SchedulingError(
                 f"event {kind.value} scheduled at t={fire_at} before clock t={self.now}")
-        ev = Event(fire_at, self._next_seq, kind, handler, payload)
-        heapq.heappush(self._heap, (fire_at, self._next_seq, ev))
+        heapq.heappush(self._heap, (fire_at, self._next_seq, handler, payload))
         self._next_seq += 1
-        return ev
-
-    def cancel(self, ev: Event) -> None:
-        ev.cancelled = True
 
     def run_until(self, end: int) -> int:
         """Dispatch every event with fire_at <= end; clock equals end after."""
         count = 0
         heap, pop = self._heap, heapq.heappop
         while heap and heap[0][0] <= end:
-            ev = pop(heap)[2]
-            if ev.cancelled:
-                continue
-            self.now = ev.fire_at
-            ev.handler(ev.payload)
+            fire_at, _, handler, payload = pop(heap)
+            self.now = fire_at
+            handler(payload)
             count += 1
         self.now = end
         self.dispatched += count

@@ -44,7 +44,6 @@ class RunMeta:
 class MetricSeries:
     name: str
     scope: str
-    bucket_width_us: int
     samples: list[tuple[int, float]] = field(default_factory=list)  # (bucket_start_us, value)
 
 
@@ -171,12 +170,12 @@ class MetricsCollector:
         for name, sc in scopes:
             for metric, buckets in sorted(sc.bits.items()):
                 if buckets:
-                    out.append(MetricSeries(metric, name, self.bucket_us, [
+                    out.append(MetricSeries(metric, name, [
                         (b * self.bucket_us, buckets.get(b, 0) * 1e6 / self.bucket_us)
                         for b in range(n_buckets)]))
         for name, sc in scopes:
             if sc.delay:
-                out.append(MetricSeries(DELAY, name, self.bucket_us, [
+                out.append(MetricSeries(DELAY, name, [
                     (b * self.bucket_us, total / count)
                     for b, (total, count) in sorted(sc.delay.items())]))
         return out

@@ -94,7 +94,6 @@ class FrameConfig:
 class GrantKind(Enum):
     DATA = "data-grant"
     POLL = "unicast-poll"
-    CONTENTION = "contention-window"
 
 
 @dataclass

@@ -1,8 +1,8 @@
-"""Connection-oriented QoS model: service flows, connections, service classes.
+"""Connection-oriented QoS model: connections and service classes.
 
 Every data packet belongs to exactly one connection (CID); each connection
-carries the QoS parameters of its owning service flow (SFID). The five
-scheduling classes differ in how they obtain uplink bandwidth.
+carries the scheduling class of its flow. The five scheduling classes differ
+in how they obtain uplink bandwidth.
 """
 
 from __future__ import annotations
@@ -41,24 +41,6 @@ def requires_request(cls: SchedulingClass) -> RequestMode:
 
 
 @dataclass
-class ServiceFlow:
-    sfid: int
-    cls: SchedulingClass
-    min_reserved_rate_bps: int = 0
-    max_sustained_rate_bps: int = 0
-
-    def __post_init__(self):
-        if not (0 <= self.sfid < 2**32):
-            raise ValueError("sfid must fit in 32 bits")
-        if self.min_reserved_rate_bps and self.max_sustained_rate_bps:
-            if self.min_reserved_rate_bps > self.max_sustained_rate_bps:
-                raise ValueError("min_reserved_rate must not exceed max_sustained_rate")
-        if self.cls is SchedulingClass.UGS:
-            if self.min_reserved_rate_bps != self.max_sustained_rate_bps:
-                raise ValueError("UGS flows have fixed bandwidth (min == max)")
-
-
-@dataclass
 class MacSdu:
     id: int
     cid: int            # connection currently carrying the SDU
@@ -71,7 +53,7 @@ class MacSdu:
 @dataclass
 class Connection:
     cid: int
-    flow: ServiceFlow
+    cls: SchedulingClass
     src: int  # station id, 0 = BS
     dst: int
     queue_cap_packets: int = 100

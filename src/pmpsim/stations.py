@@ -32,7 +32,6 @@ class BaseStation:
         self.dl_sched = dl_scheduler
         self.conns: dict[int, Connection] = {}  # downlink connections by cid
         self.relay_map: dict[int, int] = {}     # uplink cid -> downlink cid
-        self.protocol_errors = 0
 
     def add_downlink(self, conn: Connection, ul_cid: int, weight: int, quantum: int) -> None:
         self.conns[conn.cid] = conn
@@ -61,10 +60,7 @@ class BaseStation:
 
     def receive_uplink(self, run, sdu, n: int, arrival_us: int) -> None:
         """Hand an uplink SDU to the relay; it joins the downlink queue."""
-        dl_cid = self.relay_map.get(sdu.cid)
-        if dl_cid is None:
-            self.protocol_errors += 1
-            return
+        dl_cid = self.relay_map[sdu.cid]
         conn = self.conns[dl_cid]
         if self.dl_sched.pending(dl_cid) >= conn.queue_cap_packets:
             run.metrics.record_drop(sdu, "relay")
@@ -85,19 +81,16 @@ class SubscriberStation:
         self.conns[conn.cid] = conn
         self.local_sched.add_queue(conn.cid, weight=weight, quantum=quantum)
 
-    def _merged_windows(self, ies: list[MapIE]) -> list[tuple[int, int, int]]:
-        """Coalesce this station's contiguous data grants into fill windows.
-
-        Returns (offset, length, cid) where cid is the window's first grant,
-        used to attribute any unfilled residue.
-        """
-        windows: list[tuple[int, int, int]] = []
+    def _merged_windows(self, ies: list[MapIE]) -> list[tuple[int, int]]:
+        """Coalesce this station's contiguous data grants into (offset, length)
+        fill windows."""
+        windows: list[tuple[int, int]] = []
         for ie in sorted(ies, key=lambda e: e.offset_bytes):
             if windows and windows[-1][0] + windows[-1][1] == ie.offset_bytes:
-                offset, length, cid = windows[-1]
-                windows[-1] = (offset, length + ie.grant_bytes, cid)
+                offset, length = windows[-1]
+                windows[-1] = (offset, length + ie.grant_bytes)
             else:
-                windows.append((ie.offset_bytes, ie.grant_bytes, ie.cid))
+                windows.append((ie.offset_bytes, ie.grant_bytes))
         return windows
 
     def on_map(self, run, ul_map: UlMap, n: int, ul_start: int) -> None:
@@ -107,7 +100,7 @@ class SubscriberStation:
         my_polls = [ie for ie in mine if ie.kind is GrantKind.POLL]
 
         sent_data = False
-        for offset, length, window_cid in self._merged_windows(my_data):
+        for offset, length in self._merged_windows(my_data):
             cursor = offset
             served = 0
             for dec in self.local_sched.select(length):
@@ -119,34 +112,29 @@ class SubscriberStation:
                     sent_data = True
                     run.uplink_arrival(self, sdu, n, start_t, end_t)
             run.metrics.record_unused_grant(length - served)
-            run.bw.ledger.note_unused(window_cid, length - served)
 
         polled = set()
         for ie in my_polls:
             backlog = self.local_sched.backlog_bytes(ie.cid)
             if backlog > 0:
-                issued = ul_start + cfg.tx_time_us(ie.offset_bytes + ie.grant_bytes)
-                run.bw.on_request(BwRequest(ie.cid, backlog, issued, "poll-response"))
+                run.bw.on_request(BwRequest(ie.cid, backlog))
                 polled.add(ie.cid)
             else:
                 # nothing to ask for: the request is suppressed, the poll wasted
                 run.metrics.record_unused_grant(ie.grant_bytes)
-                run.bw.ledger.note_unused(ie.cid, ie.grant_bytes)
 
         piggyback_ok = sent_data and not run.scenario.strict_paper
         for cid in sorted(self.conns):
-            conn = self.conns[cid]
-            mode = requires_request(conn.flow.cls)
+            cls = self.conns[cid].cls
             backlog = self.local_sched.backlog_bytes(cid)
-            if conn.flow.cls is SchedulingClass.ERTPS:
+            if cls is SchedulingClass.ERTPS:
                 # grant-size adjustment piggybacked on this frame's allocation
-                rate = conn.flow.min_reserved_rate_bps if backlog > 0 else 0
-                run.bw.set_ertps_rate(cid, rate)
+                run.bw.set_ertps_talking(cid, backlog > 0)
                 continue
-            if mode is RequestMode.UNSOLICITED or backlog == 0:
+            if requires_request(cls) is RequestMode.UNSOLICITED or backlog == 0:
                 continue
             if piggyback_ok and cid not in polled:
-                run.bw.on_request(BwRequest(cid, backlog, run.sim.now, "piggyback"))
+                run.bw.on_request(BwRequest(cid, backlog))
 
         self._maybe_contend(run, piggyback_ok, polled)
 
@@ -157,8 +145,7 @@ class SubscriberStation:
         best_cid = None
         best_backlog = 0
         for cid in sorted(self.conns):
-            conn = self.conns[cid]
-            if requires_request(conn.flow.cls) is RequestMode.UNSOLICITED or cid in polled:
+            if requires_request(self.conns[cid].cls) is RequestMode.UNSOLICITED or cid in polled:
                 continue
             backlog = self.local_sched.backlog_bytes(cid)
             if backlog > best_backlog:
@@ -169,5 +156,4 @@ class SubscriberStation:
             if self.contention.pending.cid == best_cid:
                 self.contention.pending.bytes_requested = best_backlog
             return
-        self.contention.pending = BwRequest(best_cid, best_backlog,
-                                            run.sim.now, "contention")
+        self.contention.pending = BwRequest(best_cid, best_backlog)

@@ -12,8 +12,6 @@ scheduler variants of the same seed.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from fractions import Fraction
 from typing import Callable
 
 from .kernel import EventKind, RandomSource, Simulator
@@ -28,12 +26,6 @@ def _split_burst(total: int, mtu: int) -> list[int]:
     if total % mtu:
         sizes.append(total % mtu)
     return sizes
-
-
-@dataclass
-class OnOffState:
-    talking: bool
-    phase_ends: int
 
 
 class TrafficSource:
@@ -62,29 +54,29 @@ class VoiceSource(TrafficSource):
 
     def __init__(self, spec, cid, rng):
         super().__init__(spec, cid, rng)
-        self.period_us = round(spec.packet_bytes * 8_000_000 / spec.rate_bps)
+        self.period_us = spec.packet_period_us()
 
     def _fire(self, _):
         self.ingest(self.cid, self.spec.packet_bytes)
         self._reschedule(self.sim.now + self.period_us)
 
 
-class VoipSource(TrafficSource):
+class VoipSource(VoiceSource):
     """Voice with silence suppression: exponential talk/silence phases."""
 
     def __init__(self, spec, cid, rng):
         super().__init__(spec, cid, rng)
-        self.period_us = round(spec.packet_bytes * 8_000_000 / spec.rate_bps)
-        self.state = OnOffState(talking=True, phase_ends=0)
+        self.talking = True
+        self.phase_ends = 0
         self._drawn = False
 
     def _advance_phase(self, now: int) -> None:
         if not self._drawn:
-            self.state.phase_ends = now + self._phase_len(talking=True)
+            self.phase_ends = now + self._phase_len(talking=True)
             self._drawn = True
-        while now >= self.state.phase_ends:
-            self.state.talking = not self.state.talking
-            self.state.phase_ends += self._phase_len(self.state.talking)
+        while now >= self.phase_ends:
+            self.talking = not self.talking
+            self.phase_ends += self._phase_len(self.talking)
 
     def _phase_len(self, talking: bool) -> int:
         mean = self.spec.talk_mean_us if talking else self.spec.silence_mean_us
@@ -93,7 +85,7 @@ class VoipSource(TrafficSource):
     def _fire(self, _):
         now = self.sim.now
         self._advance_phase(now)
-        if self.state.talking:
+        if self.talking:
             self.ingest(self.cid, self.spec.packet_bytes)
         self._reschedule(now + self.period_us)
 
@@ -131,9 +123,9 @@ class FtpSource(TrafficSource):
 class HttpSource(TrafficSource):
     """Poisson page requests; page sizes bounded-Pareto, emitted as MTU bursts.
 
-    A page burst is paced at page_pace_bps (the server/transport feeding the
-    station), so large pages arrive over milliseconds rather than in one
-    instant; 0 means emit the whole page at once.
+    A page burst is paced at page_pace_bps (at least 1 bit/s: the
+    server/transport feeding the station), so large pages arrive over
+    milliseconds rather than in one instant.
     """
 
     def __init__(self, spec, cid, rng):
@@ -148,13 +140,8 @@ class HttpSource(TrafficSource):
             size = int(self.xm * self.rng.traffic_paretovariate(self.spec.pareto_alpha))
             size = max(1, min(size, self.spec.max_page_bytes))
             self._chunks = _split_burst(size, self.spec.mtu_bytes)
-        if self.spec.page_pace_bps <= 0:
-            for sdu in self._chunks:
-                self.ingest(self.cid, sdu)
-            self._chunks = []
-        else:
-            chunk = self._chunks.pop(0)
-            self.ingest(self.cid, chunk)
+        chunk = self._chunks.pop(0)
+        self.ingest(self.cid, chunk)
         if self._chunks:
             pace = chunk * 8_000_000 // self.spec.page_pace_bps
             self._reschedule(now + max(1, pace))
@@ -184,24 +171,19 @@ def build_paper_scenario() -> Scenario:
     SS5 -> SS4 so all five stations participate (see build_literal_scenario
     for the alternative reading).
     """
-    sc = Scenario()
-    sc.name = "paper-pmp"
-    sc.frame = _paper_frame()
-    sc.station_count = 5
-    sc.scheduler_bs = "wfq"
-    sc.scheduler_ss = "wfq"
-    sc.flows = [
-        FlowSpec.from_dict({"kind": "ftp", "src": 1, "dst": 2}, "flows[0]"),
-        FlowSpec.from_dict({"kind": "video", "src": 2, "dst": 3}, "flows[1]"),
-        FlowSpec.from_dict({"kind": "http", "src": 3, "dst": 4}, "flows[2]"),
-        FlowSpec.from_dict({"kind": "voip_silence", "src": 5, "dst": 4}, "flows[3]"),
-        FlowSpec.from_dict({"kind": "voice", "src": 4, "dst": 1}, "flows[4]"),
-    ]
-    sc.seed = 1
-    sc.duration_us = 60_000_000
-    sc.bucket_us = 1_000_000
-    sc.validate()
-    return sc
+    return Scenario.from_dict({
+        "name": "paper-pmp",
+        "frame": {"frame_duration_us": 12_500, "ttg_us": 106, "rtg_us": 60,
+                  "dl_fraction": "189/200", "channel_bandwidth_hz": 20_000_000},
+        "stations": {"count": 5},
+        "schedulers": {"bs": "wfq", "ss": "wfq"},
+        "flows": [{"kind": "ftp", "src": 1, "dst": 2},
+                  {"kind": "video", "src": 2, "dst": 3},
+                  {"kind": "http", "src": 3, "dst": 4},
+                  {"kind": "voip_silence", "src": 5, "dst": 4},
+                  {"kind": "voice", "src": 4, "dst": 1}],
+        "run": {"seed": 1, "duration_us": 60_000_000, "bucket_us": 1_000_000},
+    })
 
 
 def build_literal_scenario() -> Scenario:
@@ -212,18 +194,6 @@ def build_literal_scenario() -> Scenario:
         {"kind": "voip_silence", "src": 4, "dst": 1}, "flows[3]")
     sc.validate()
     return sc
-
-
-def _paper_frame():
-    from .phy import FrameConfig
-
-    return FrameConfig(
-        frame_duration_us=12_500,
-        ttg_us=106,
-        rtg_us=60,
-        dl_fraction=Fraction(189, 200),
-        channel_bandwidth_hz=20_000_000,
-    )
 
 
 def builtin_scenarios() -> dict[str, Callable[[], Scenario]]:

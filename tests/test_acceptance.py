@@ -291,7 +291,7 @@ def test_criterion_8_contention():
     # (a) a single requester always gets through, no collision possible
     rng = RandomSource(5)
     st = ContentionState(1)
-    st.pending = BwRequest(9, 500, 0, "contention")
+    st.pending = BwRequest(9, 500)
     delivered = []
     frames = 0
     while st.pending is not None:
@@ -304,8 +304,8 @@ def test_criterion_8_contention():
 
     # (b) forced same-slot collision doubles both windows
     a, b = ContentionState(1), ContentionState(2)
-    a.pending = BwRequest(1, 10, 0, "contention")
-    b.pending = BwRequest(2, 10, 0, "contention")
+    a.pending = BwRequest(1, 10)
+    b.pending = BwRequest(2, 10)
     a.backoff_remaining = b.backoff_remaining = 3
     got, collided = BandwidthManager.run_contention([a, b], 8, rng)
     assert got == [] and sorted(collided) == [1, 2]
@@ -329,7 +329,7 @@ def test_criterion_8_contention():
         states = []
         for ss in range(1, n_ss + 1):
             st = ContentionState(ss)
-            st.pending = BwRequest(ss, 100, 0, "contention")
+            st.pending = BwRequest(ss, 100)
             states.append(st)
         got, _ = BandwidthManager.run_contention(states, slots, rng)
         successes += len(got)

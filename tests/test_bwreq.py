@@ -36,17 +36,30 @@ def test_ertps_shrinks_to_request_carrying_size():
     bw.register_flow(1, 1, SchedulingClass.ERTPS, grant_interval_us=12_500,
                      rate_bps=64_000, packet_bytes=100)
     assert bw.issue_unsolicited(0) == [(1, 100)]
-    bw.set_ertps_rate(1, 0)
+    bw.set_ertps_talking(1, False)
     assert bw.issue_unsolicited(12_500) == [(1, 8)]
-    bw.set_ertps_rate(1, 64_000)
+    bw.set_ertps_talking(1, True)
     assert bw.issue_unsolicited(25_000) == [(1, 100)]
+
+
+def test_ertps_talking_grant_holds_one_packet():
+    # 64 kb/s over 12.5 ms is 100 B, less than one 200 B packet: a talking
+    # flow still gets a whole packet per interval, as at registration
+    bw = make_manager()
+    bw.register_flow(1, 1, SchedulingClass.ERTPS, grant_interval_us=12_500,
+                     rate_bps=64_000, packet_bytes=200)
+    assert bw.issue_unsolicited(0) == [(1, 200)]
+    bw.set_ertps_talking(1, False)
+    assert bw.issue_unsolicited(12_500) == [(1, 8)]
+    bw.set_ertps_talking(1, True)
+    assert bw.issue_unsolicited(25_000) == [(1, 200)]
 
 
 def test_requests_rejected_for_unsolicited_flows():
     bw = make_manager()
     bw.register_flow(1, 1, SchedulingClass.UGS, rate_bps=64_000, packet_bytes=100)
     with pytest.raises(ValueError):
-        bw.on_request(BwRequest(1, 1000, 0, "piggyback"))
+        bw.on_request(BwRequest(1, 1000))
 
 
 def test_poll_intervals():
@@ -91,8 +104,8 @@ def test_build_map_equal_weight_split_when_budget_binds():
     bw = make_manager()
     bw.register_flow(1, 1, SchedulingClass.BE, weight=1, chunk_bytes=1500)
     bw.register_flow(2, 2, SchedulingClass.BE, weight=1, chunk_bytes=1500)
-    bw.on_request(BwRequest(1, 40_000, 0, "contention"))
-    bw.on_request(BwRequest(2, 40_000, 0, "contention"))
+    bw.on_request(BwRequest(1, 40_000))
+    bw.on_request(BwRequest(2, 40_000))
     m = bw.build_ul_map(0, 0)
     grants = {ie.cid: ie.grant_bytes for ie in m.ies if ie.kind is GrantKind.DATA}
     cap = bw.cfg.subframe_capacity_bytes(Direction.UPLINK)
@@ -105,7 +118,7 @@ def test_build_map_equal_weight_split_when_budget_binds():
 def test_outstanding_tracks_grants():
     bw = make_manager()
     bw.register_flow(1, 1, SchedulingClass.BE, chunk_bytes=1500)
-    bw.on_request(BwRequest(1, 10_000, 0, "contention"))
+    bw.on_request(BwRequest(1, 10_000))
     assert bw.scheduler.backlog_bytes(1) == 10_000
     m = bw.build_ul_map(0, 0)
     granted = sum(ie.grant_bytes for ie in m.ies if ie.cid == 1)
@@ -125,7 +138,7 @@ def test_request_conservation_over_many_frames():
         backlog += r.randint(0, 4000)
         req = min(backlog, 16_000)
         requested += req
-        bw.on_request(BwRequest(1, req, frame * 12_500, "piggyback"))
+        bw.on_request(BwRequest(1, req))
         m = bw.build_ul_map(frame, frame * 12_500)
         g = sum(ie.grant_bytes for ie in m.ies if ie.cid == 1)
         backlog = max(0, backlog - g)
@@ -151,7 +164,7 @@ def rng(seed=1):
 
 def test_single_requester_cannot_collide():
     st = ContentionState(1)
-    st.pending = BwRequest(5, 100, 0, "contention")
+    st.pending = BwRequest(5, 100)
     delivered_total = 0
     r = rng()
     for _ in range(2):  # window 8, 8 slots: first or only frame delivers
@@ -168,8 +181,8 @@ def test_single_requester_cannot_collide():
 def test_forced_two_station_collision_doubles_windows():
     a = ContentionState(1)
     b = ContentionState(2)
-    a.pending = BwRequest(1, 100, 0, "contention")
-    b.pending = BwRequest(2, 100, 0, "contention")
+    a.pending = BwRequest(1, 100)
+    b.pending = BwRequest(2, 100)
     a.backoff_remaining = 0
     b.backoff_remaining = 0
     delivered, collided = BandwidthManager.run_contention([a, b], 8, rng())
@@ -181,7 +194,7 @@ def test_forced_two_station_collision_doubles_windows():
 
 def test_backoff_decrements_for_non_transmitters():
     st = ContentionState(1)
-    st.pending = BwRequest(1, 100, 0, "contention")
+    st.pending = BwRequest(1, 100)
     st.backoff_remaining = 10
     delivered, _ = BandwidthManager.run_contention([st], 4, rng())
     assert delivered == []
@@ -198,17 +211,9 @@ def test_window_never_exceeds_max():
     b = ContentionState(2, max_window=16)
     r = rng(3)
     for _ in range(10):
-        a.pending = BwRequest(1, 100, 0, "contention")
-        b.pending = BwRequest(2, 100, 0, "contention")
+        a.pending = BwRequest(1, 100)
+        b.pending = BwRequest(2, 100)
         a.backoff_remaining = 0
         b.backoff_remaining = 0
         BandwidthManager.run_contention([a, b], 8, r)
         assert a.window <= 16 and b.window <= 16
-
-
-def test_granted_unused_tracked_per_connection():
-    ledger_holder = make_manager()
-    ledger_holder.ledger.note_unused(5, 300)
-    ledger_holder.ledger.note_unused(5, 0)
-    ledger_holder.ledger.note_unused(7, 8)
-    assert ledger_holder.ledger.granted_unused == {5: 300, 7: 8}

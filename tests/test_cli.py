@@ -145,22 +145,54 @@ def test_duration_flag_overrides(tmp_path):
     assert ",load_bps,1.000000," in out.read_text()
 
 
+def _run(**overrides):
+    """argv of `run` on the tiny scenario with these top-level overrides."""
+    return lambda tmp_path: ["run", "--scenario", tiny_file(tmp_path, **overrides),
+                             "--out", str(tmp_path / "x.csv")]
+
+
 def _flow(kind, **fields):
-    return {"flows": [{"kind": kind, "src": 1, "dst": 2, **fields}]}
+    return _run(flows=[{"kind": kind, "src": 1, "dst": 2, **fields}])
 
 
-@pytest.mark.parametrize("overrides,path", [
+def _binary_file(tmp_path):
+    path = tmp_path / "binary.yaml"
+    path.write_bytes(b"\xff\xfe\x00 not text")
+    return ["validate", "--scenario", str(path)]
+
+
+@pytest.mark.parametrize("argv,path", [
     (_flow("http", page_rate_per_s=0), "flows[0].page_rate_per_s"),
     (_flow("http", page_rate_per_s=-2.5), "flows[0].page_rate_per_s"),
     (_flow("http", pareto_alpha="abc"), "flows[0].pareto_alpha"),
     (_flow("http", pareto_alpha=1.0), "flows[0].pareto_alpha"),
     (_flow("video", sigma=-0.5), "flows[0].sigma"),
-    ({"frame": 3}, "frame: must be a mapping"),
+    (_run(frame=3), "frame: must be a mapping"),
+    # a squared sigma past the float range
+    (_flow("video", sigma=1e200), "flows[0].sigma: must be a finite number <= 10"),
+    # a mean page gap of 1e6 / rate past the float range
+    (_flow("http", page_rate_per_s=1e-320), "flows[0].page_rate_per_s: must be a finite"),
+    (_flow("http", mean_page_bytes=10**400), "flows[0].mean_page_bytes: must be <="),
+    (_flow("voice", packet_bytes=1, rate_bps=20_000_000), "flows[0]: packet_bytes at rate_bps"),
+    (_flow("ftp", start_us=1_000_000, stop_us=10), "flows[0].stop_us: must be after start_us"),
+    (_flow("http", mean_page_bytes=600_000), "flows[0]: mean_page_bytes must not exceed"),
+    # no capacity: a run that delivers nothing and exits 0
+    (_run(frame={"coding_rate": 0}), "frame.coding_rate: must lie in (0, 1]"),
+    (_run(frame={"efficiency_factor": "-1/2"}), "frame.efficiency_factor: must lie in (0, 1]"),
+    (_run(name="a,b"), "name: must not contain a comma"),
+    (_run(name="a\nb"), "name: must not contain a comma"),
+    (_run(flows=[{"kind": "ftp", "src": 1, "dst": 2}] * 32_768), "flows: at most 32767 flows"),
+    (lambda tmp_path: ["validate", "--scenario", str(tmp_path)], ": cannot read: "),
+    (_binary_file, "binary.yaml: cannot read: "),
+    (lambda tmp_path: ["compare", "--scenario", tiny_file(tmp_path), "--seeds", "1,x",
+                       "--out-dir", str(tmp_path / "cmp")], "--seeds: expected"),
 ], ids=["rate-zero", "rate-negative", "alpha-text", "alpha-one", "sigma-negative",
-        "frame-not-mapping"])
-def test_bad_scenario_exit_1_with_path(tmp_path, capsys, overrides, path):
-    rc = run_cli("run", "--scenario", tiny_file(tmp_path, **overrides),
-                 "--out", str(tmp_path / "x.csv"))
-    assert rc == 1
+        "frame-not-mapping", "sigma-huge", "rate-subnormal", "page-bytes-huge",
+        "voice-period-zero", "stop-before-start", "page-mean-over-max", "coding-rate-zero",
+        "efficiency-negative", "name-comma",
+        "name-newline", "too-many-flows", "scenario-is-directory", "scenario-not-text",
+        "seed-not-integer"])
+def test_bad_scenario_exit_1_with_path(tmp_path, capsys, argv, path):
+    assert run_cli(*argv(tmp_path)) == 1
     err = capsys.readouterr().err
     assert err.startswith("scenario error: ") and path in err, err

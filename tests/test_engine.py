@@ -2,10 +2,9 @@ import io
 
 import pytest
 
-from pmpsim.engine import SimulationRun, run_scenario
+from pmpsim.engine import run_scenario
 from pmpsim.metrics import flow_scope
 from pmpsim.phy import Direction, GrantKind
-from pmpsim.qos import MacSdu
 from pmpsim.scenario import Scenario, FlowSpec
 from pmpsim.traffic import build_paper_scenario
 
@@ -109,11 +108,16 @@ def test_relay_queue_overflow_drops_counted():
                                           + s.queued_packets_end[scope])
 
 
-def test_unknown_cid_grant_counts_protocol_error():
-    run = SimulationRun(tiny_scenario())
-    stray = MacSdu(999, 555, 555, 100, 0)
-    run.bs.receive_uplink(run, stray, 0, 1000)
-    assert run.bs.protocol_errors == 1
+def test_ertps_packets_over_the_rate_grant_are_served():
+    # 64 kb/s over a 12.5 ms interval grants 100 B, but each packet is 200 B:
+    # a talking flow's grant must still hold one packet
+    sc = Scenario.from_dict({
+        "stations": {"count": 2},
+        "flows": [{"kind": "voip_silence", "src": 1, "dst": 2, "packet_bytes": 200}],
+        "run": {"duration_us": 10_000_000}})
+    s = run_scenario(sc).summary
+    assert s.generated_packets["cell"] > 100
+    assert s.delivered_packets["cell"] >= s.generated_packets["cell"] - 2
 
 
 def test_identical_runs_identical_csv():

@@ -1,7 +1,8 @@
-"""Golden gate: the CSV bytes of short runs must not change.
+"""Golden gate: the CSV bytes of short runs and the scenario dumps must not change.
 
-Each digest is the SHA-256 of the CSV a short run writes: 5 s of a built-in
-5-SS scenario, or 2 s of a 40-SS cell whose BS schedulers hold 40 queues. A
+Each CSV digest is the SHA-256 of the CSV a short run writes: 5 s of a
+built-in 5-SS scenario, or 2 s of a 40-SS cell whose BS schedulers hold 40
+queues. Each dump digest is the SHA-256 of what `print-scenario` writes. A
 change that alters any of them changes simulator output, and must say which
 digest and why.
 """
@@ -10,8 +11,10 @@ import hashlib
 import io
 
 import pytest
+import yaml
 
 from pmpsim import Scenario, load_scenario, run_scenario
+from pmpsim.cli import main
 
 # (scenario, BS scheduler, SS scheduler, seed, strict_paper, CSV SHA-256)
 GOLDEN = [
@@ -47,6 +50,14 @@ WIDE_GOLDEN = [
 ]
 WIDE_KINDS = ("ftp", "video", "http", "voip_silence", "voice")
 
+# `print-scenario` output of the built-ins and of the 40-SS cell under WFQ;
+# (scenario, YAML SHA-256)
+PRINT_GOLDEN = [
+    ("paper-pmp", "3cea399a97256300396980a6390a4d729e7661a5c9f86c956cfd675de08ce40c"),
+    ("paper-pmp-literal", "aed5d706fb911c388e924478f30f90b20bbaada32ee6cf997b4ee87dfff541af"),
+    ("wide-40ss", "391abdc4df54bbed2c31cfcad4bc57e3b2ac38ed6b62774e6f41db5c3d7f4d69"),
+]
+
 
 def _digest(result) -> str:
     buf = io.StringIO()
@@ -54,13 +65,16 @@ def _digest(result) -> str:
     return hashlib.sha256(buf.getvalue().encode()).hexdigest()
 
 
-def wide_cell(scheduler: str, stations: int = 40) -> Scenario:
+def wide_tree(scheduler: str, stations: int = 40) -> dict:
     flows = [{"kind": WIDE_KINDS[i % len(WIDE_KINDS)], "src": i + 1,
               "dst": (i + 7) % stations + 1} for i in range(stations)]
-    return Scenario.from_dict({
-        "name": f"wide-{stations}ss", "stations": {"count": stations},
-        "schedulers": {"bs": scheduler, "ss": scheduler},
-        "flows": flows, "run": {"seed": 1, "duration_us": 2_000_000}})
+    return {"name": f"wide-{stations}ss", "stations": {"count": stations},
+            "schedulers": {"bs": scheduler, "ss": scheduler},
+            "flows": flows, "run": {"seed": 1, "duration_us": 2_000_000}}
+
+
+def wide_cell(scheduler: str, stations: int = 40) -> Scenario:
+    return Scenario.from_dict(wide_tree(scheduler, stations))
 
 
 @pytest.mark.parametrize("name,bs,ss,seed,strict,expected", GOLDEN,
@@ -77,3 +91,14 @@ def test_csv_digest_unchanged(name, bs, ss, seed, strict, expected):
 @pytest.mark.parametrize("scheduler,expected", WIDE_GOLDEN, ids=[g[0] for g in WIDE_GOLDEN])
 def test_wide_cell_csv_digest_unchanged(scheduler, expected):
     assert _digest(run_scenario(wide_cell(scheduler))) == expected
+
+
+@pytest.mark.parametrize("name,expected", PRINT_GOLDEN, ids=[g[0] for g in PRINT_GOLDEN])
+def test_print_scenario_digest_unchanged(tmp_path, capsys, name, expected):
+    scenario = name
+    if name == "wide-40ss":
+        scenario = str(tmp_path / "wide.yaml")
+        with open(scenario, "w") as fh:
+            yaml.safe_dump(wide_tree("wfq"), fh)
+    assert main(["print-scenario", "--scenario", scenario]) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == expected

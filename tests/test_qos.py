@@ -1,13 +1,6 @@
 import pytest
 
-from pmpsim.qos import (Connection, RequestMode, SchedulingClass, ServiceFlow,
-                        requires_request)
-
-
-def flow(sfid, cls, **kw):
-    defaults = dict(min_reserved_rate_bps=0, max_sustained_rate_bps=0)
-    defaults.update(kw)
-    return ServiceFlow(sfid=sfid, cls=cls, **defaults)
+from pmpsim.qos import Connection, RequestMode, SchedulingClass, requires_request
 
 
 def test_exactly_five_classes():
@@ -25,23 +18,7 @@ def test_requires_request(cls, mode):
     assert requires_request(cls) == mode
 
 
-def test_ugs_requires_fixed_bandwidth():
+def test_cid_width_limit():
+    Connection(cid=2**16 - 1, cls=SchedulingClass.BE, src=1, dst=2)
     with pytest.raises(ValueError):
-        flow(1, SchedulingClass.UGS, min_reserved_rate_bps=64_000,
-             max_sustained_rate_bps=128_000)
-    flow(1, SchedulingClass.UGS, min_reserved_rate_bps=64_000,
-         max_sustained_rate_bps=64_000)
-
-
-def test_min_rate_bounded_by_max_rate():
-    with pytest.raises(ValueError):
-        flow(1, SchedulingClass.RTPS, min_reserved_rate_bps=2_000_000,
-             max_sustained_rate_bps=1_000_000)
-
-
-def test_cid_and_sfid_width_limits():
-    with pytest.raises(ValueError):
-        ServiceFlow(sfid=2**32, cls=SchedulingClass.BE)
-    f = flow(1, SchedulingClass.BE)
-    with pytest.raises(ValueError):
-        Connection(cid=2**16, flow=f, src=1, dst=2)
+        Connection(cid=2**16, cls=SchedulingClass.BE, src=1, dst=2)
