@@ -14,18 +14,14 @@ from typing import IO, Optional
 
 from .bwreq import BandwidthManager, ContentionState
 from .kernel import EventKind, Simulator
-from .metrics import (MetricSeries, MetricsCollector, RunMeta, RunSummary,
-                      SCOPE_CELL, emit_csv, flow_scope)
+from .metrics import (ConservationError, MetricSeries, MetricsCollector, RunMeta,
+                      RunSummary, emit_csv)
 from .phy import Direction, UlMap
 from .qos import Connection, MacSdu
 from .sched import make_scheduler
 from .scenario import Scenario
 from .stations import BaseStation, SubscriberStation, TransmissionRecord
 from .traffic import make_source
-
-
-class ConservationError(RuntimeError):
-    """A packet or byte went missing: generated != delivered + queued + dropped."""
 
 
 @dataclass
@@ -86,7 +82,7 @@ class SimulationRun:
         self._ss_order = [self.sss[s] for s in sorted(self.sss)]
         self.metrics = MetricsCollector(
             scenario.bucket_us, scenario.duration_us,
-            flow_cids=sorted(self.ul_conns), ss_ids=sorted(self.sss))
+            flows={cid: (c.src, c.dst) for cid, c in self.ul_conns.items()})
         self._sdu_counter = 0
         self._current_map: Optional[UlMap] = None
 
@@ -97,7 +93,7 @@ class SimulationRun:
         conn = self.ul_conns[cid]
         sdu = MacSdu(self._sdu_counter, cid, cid, size_bytes, self.sim.now)
         self._sdu_counter += 1
-        self.metrics.record_offered(sdu, conn.src)
+        self.metrics.record_offered(sdu)
         ss = self.sss[conn.src]
         if ss.local_sched.pending(cid) >= conn.queue_cap_packets:
             self.metrics.record_drop(sdu, "src")
@@ -105,19 +101,18 @@ class SimulationRun:
         ss.local_sched.enqueue(cid, sdu.id, size_bytes,
                                arrival=self.sim.now, payload=sdu)
 
-    def uplink_arrival(self, ss: SubscriberStation, sdu: MacSdu, n: int,
-                       start_us: int, end_us: int) -> None:
+    def uplink_arrival(self, sdu: MacSdu, n: int, start_us: int, end_us: int) -> None:
         if self.audit is not None:
             self.audit.append(TransmissionRecord(
                 n, Direction.UPLINK, sdu.cid, sdu.size_bytes, start_us, end_us))
-        self.metrics.record_bs_ingress(sdu, end_us, ss.ss_id)
+        self.metrics.record_bs_ingress(sdu, end_us)
         self.bs.receive_uplink(self, sdu, n, end_us)
 
     def deliver_downlink(self, sdu: MacSdu, n: int, start_us: int, end_us: int) -> None:
         if self.audit is not None:
             self.audit.append(TransmissionRecord(
                 n, Direction.DOWNLINK, sdu.cid, sdu.size_bytes, start_us, end_us))
-        self.metrics.record_delivery(sdu, end_us, self.bs.conns[sdu.cid].dst)
+        self.metrics.record_delivery(sdu, end_us)
 
     # -------------------------------------------------------------- frames
 
@@ -153,41 +148,18 @@ class SimulationRun:
         # sources hold self.ingest; dropping them frees the run without the cycle GC
         self._sources.clear()
 
-        queued_packets, queued_bytes = self._queued_at_end()
-        summary = self.metrics.build_summary(queued_packets, queued_bytes)
-        self._audit_conservation(summary)
+        # (packets, bytes) each flow still holds, at its source and at the relay
+        queued = {}
+        dl = self.bs.dl_sched
+        for ul_cid, conn in self.ul_conns.items():
+            local, dl_cid = self.sss[conn.src].local_sched, self.bs.relay_map[ul_cid]
+            queued[ul_cid] = (local.pending(ul_cid) + dl.pending(dl_cid),
+                              local.backlog_bytes(ul_cid) + dl.backlog_bytes(dl_cid))
+        summary = self.metrics.build_summary(queued)
         meta = RunMeta(self.scenario.name, self.scenario.scheduler_bs,
                        self.scenario.scheduler_ss, self.scenario.seed)
         return RunResult(meta, summary, self.metrics.build_series(),
                          self.sim.dispatched, self.audit, self.ul_maps)
-
-    def _queued_at_end(self) -> tuple[dict[str, int], dict[str, int]]:
-        packets: dict[str, int] = {SCOPE_CELL: 0}
-        nbytes: dict[str, int] = {SCOPE_CELL: 0}
-        for ul_cid, conn in sorted(self.ul_conns.items()):
-            scope = flow_scope(ul_cid)
-            ss = self.sss[conn.src]
-            dl_cid = self.bs.relay_map[ul_cid]
-            p = ss.local_sched.pending(ul_cid) + self.bs.dl_sched.pending(dl_cid)
-            b = (ss.local_sched.backlog_bytes(ul_cid)
-                 + self.bs.dl_sched.backlog_bytes(dl_cid))
-            packets[scope] = p
-            nbytes[scope] = b
-            packets[SCOPE_CELL] += p
-            nbytes[SCOPE_CELL] += b
-        return packets, nbytes
-
-    def _audit_conservation(self, s: RunSummary) -> None:
-        scopes = [SCOPE_CELL] + [flow_scope(cid) for cid in sorted(self.ul_conns)]
-        for scope in scopes:
-            gen = s.generated_packets.get(scope, 0), s.generated_bytes.get(scope, 0)
-            acc = (s.delivered_packets.get(scope, 0) + s.dropped_packets.get(scope, 0)
-                   + s.queued_packets_end.get(scope, 0),
-                   s.delivered_bytes.get(scope, 0) + s.dropped_bytes.get(scope, 0)
-                   + s.queued_bytes_end.get(scope, 0))
-            if gen != acc:
-                raise ConservationError(
-                    f"{scope}: generated {gen} != delivered+dropped+queued {acc}")
 
 
 def run_scenario(scenario: Scenario, record_audit: bool = False) -> RunResult:

@@ -63,97 +63,93 @@ class RunSummary:
     collisions: int = 0
 
 
-class _Scope:
-    """What one scope recorded: bits per bucket by metric, delay [sum, count]
-    per bucket with running (Welford) statistics, and [packets, bytes] by
-    counter. An empty container, or n == 0, means nothing was recorded.
+class ConservationError(RuntimeError):
+    """A packet or byte went missing: generated != delivered + queued + dropped."""
+
+
+def _record() -> dict:
+    """One flow's record, in whole bits and microseconds. "offered" (by
+    creation time), "hop" (received at the BS) and "delivered" map a bucket
+    to [bits, packets, sum_us, sum_sq_us] of its packets; the delay fields of
+    "offered" stay 0. "src" and "relay" hold the [packets, bytes] dropped there.
     """
-    __slots__ = ("bits", "delay", "counts", "n", "mean", "m2")
+    return {"offered": {}, "hop": {}, "delivered": {}, "src": [0, 0], "relay": [0, 0]}
 
-    def __init__(self):
-        self.bits: dict[str, dict[int, int]] = {LOAD: {}, THROUGHPUT: {},
-                                                IFACE_SENT: {}, IFACE_RECV: {}}
-        self.delay: dict[int, list] = {}
-        self.counts: dict[str, list[int]] = {}
-        self.n, self.mean, self.m2 = 0, 0.0, 0.0
 
-    def add_delay(self, b: int, x: float) -> None:
-        cell = self.delay.setdefault(b, [0.0, 0])
-        cell[0] += x
-        cell[1] += 1
-        self.n += 1
-        d = x - self.mean
-        self.mean += d / self.n
-        self.m2 += d * (x - self.mean)
+def _add(buckets: dict[int, list[int]], b: int, bits: int, delay_us: int) -> None:
+    r = buckets.get(b)
+    if r is None:
+        buckets[b] = [bits, 1, delay_us, delay_us * delay_us]
+    else:
+        r[0] += bits
+        r[1] += 1
+        r[2] += delay_us
+        r[3] += delay_us * delay_us
 
-    def count(self, counter: str, nbytes: int) -> None:
-        c = self.counts.get(counter)
-        if c is None:
-            self.counts[counter] = [1, nbytes]
-        else:
-            c[0] += 1
-            c[1] += nbytes
+
+def _merge(flows: list[dict], part: str) -> dict[int, list[int]]:
+    """The bucket-wise sum of one part of several flows' records."""
+    out: dict[int, list[int]] = {}
+    for f in flows:
+        for b, r in f[part].items():
+            acc = out.get(b)
+            out[b] = r.copy() if acc is None else [x + y for x, y in zip(acc, r)]
+    return out
+
+
+def _totals(buckets: dict[int, list[int]]) -> tuple[int, int]:
+    """(packets, bytes) over all buckets."""
+    return sum(r[1] for r in buckets.values()), sum(r[0] for r in buckets.values()) // 8
+
+
+def _counts(offered: dict, delivered: dict, droppers: list[dict],
+            places: tuple[str, ...]) -> dict[str, tuple[int, int]]:
+    """(packets, bytes) generated, delivered, and dropped at `places` of `droppers`."""
+    return {"generated": _totals(offered), "delivered": _totals(delivered),
+            "dropped": tuple(sum(f[p][i] for f in droppers for p in places)
+                             for i in (0, 1))}
 
 
 class MetricsCollector:
+    """Records each packet event in its flow's record; every scope is built
+    at the end as an exact sum of flow records."""
+
     def __init__(self, bucket_us: int, duration_us: int,
-                 flow_cids: list[int], ss_ids: list[int]):
+                 flows: dict[int, tuple[int, int]]):
         self.bucket_us = bucket_us
         self.duration_us = duration_us
-        self._cell, self._bs = _Scope(), _Scope()
-        self._flows = {cid: _Scope() for cid in flow_cids}
-        self._sss = {s: _Scope() for s in ss_ids}
-        self._scopes = {SCOPE_CELL: self._cell, SCOPE_BS: self._bs,
-                        **{flow_scope(cid): sc for cid, sc in self._flows.items()},
-                        **{ss_scope(s): sc for s, sc in self._sss.items()}}
-        # flow cid -> (source station, [(load buckets, scope)] of cell, flow, source)
-        self._offered: dict[int, tuple[int, list]] = {}
+        self._flows = {cid: _record() for cid in sorted(flows)}
+        # station -> (records of the flows it sources, of the flows it receives)
+        self._stations: dict[int, tuple[list[dict], list[dict]]] = {}
+        for cid, (src, dst) in flows.items():
+            self._stations.setdefault(src, ([], []))[0].append(self._flows[cid])
+            self._stations.setdefault(dst, ([], []))[1].append(self._flows[cid])
         self.unused_grant_bytes = 0
         self.collisions = 0
 
     # ------------------------------------------------------------ recording
 
-    def record_offered(self, sdu: MacSdu, src_ss: int) -> None:
-        cached = self._offered.get(sdu.flow_cid)
-        if cached is None or cached[0] != src_ss:
-            cached = self._offered[sdu.flow_cid] = (src_ss, [
-                (sc.bits[LOAD], sc)
-                for sc in (self._cell, self._flows[sdu.flow_cid], self._sss[src_ss])])
-        bits = sdu.size_bytes * 8
-        b = sdu.created_at // self.bucket_us
-        for buckets, sc in cached[1]:
-            buckets[b] = buckets.get(b, 0) + bits
-            sc.count("generated", sdu.size_bytes)
+    def record_offered(self, sdu: MacSdu) -> None:
+        _add(self._flows[sdu.flow_cid]["offered"], sdu.created_at // self.bucket_us,
+             sdu.size_bytes * 8, 0)
 
-    def record_bs_ingress(self, sdu: MacSdu, t: int, src_ss: int) -> None:
-        """Uplink SDU handed up at the BS: hop delay, BS load, interface in."""
-        bits = sdu.size_bytes * 8
-        b = t // self.bucket_us
-        bs = self._bs
-        bs.add_delay(b, (t - sdu.created_at) / 1e6)
-        for buckets in (bs.bits[LOAD], bs.bits[IFACE_RECV], self._sss[src_ss].bits[IFACE_SENT]):
-            buckets[b] = buckets.get(b, 0) + bits
+    def record_bs_ingress(self, sdu: MacSdu, t: int) -> None:
+        """Uplink SDU handed up at the BS: the uplink hop."""
+        _add(self._flows[sdu.flow_cid]["hop"], t // self.bucket_us,
+             sdu.size_bytes * 8, t - sdu.created_at)
 
-    def record_delivery(self, sdu: MacSdu, t: int, dst_ss: int) -> None:
+    def record_delivery(self, sdu: MacSdu, t: int) -> None:
         if sdu.delivered_at is not None:
             raise RuntimeError(f"double delivery of sdu {sdu.id}")
         sdu.delivered_at = t
-        bits = sdu.size_bytes * 8
-        b = t // self.bucket_us
-        delay_s = (t - sdu.created_at) / 1e6
-        bs, dst = self._bs, self._sss[dst_ss]
-        for sc in (self._cell, self._flows[sdu.flow_cid], dst):
-            buckets = sc.bits[THROUGHPUT]
-            buckets[b] = buckets.get(b, 0) + bits
-            sc.add_delay(b, delay_s)
-            sc.count("delivered", sdu.size_bytes)
-        for buckets in (bs.bits[THROUGHPUT], bs.bits[IFACE_SENT], dst.bits[IFACE_RECV]):
-            buckets[b] = buckets.get(b, 0) + bits
+        _add(self._flows[sdu.flow_cid]["delivered"], t // self.bucket_us,
+             sdu.size_bytes * 8, t - sdu.created_at)
 
     def record_drop(self, sdu: MacSdu, where: str) -> None:
-        for sc in (self._cell, self._flows[sdu.flow_cid]):
-            sc.count("dropped", sdu.size_bytes)
-            sc.count(f"dropped_{where}", sdu.size_bytes)
+        """`where` is "src" (the source station's queue) or "relay" (the BS's)."""
+        d = self._flows[sdu.flow_cid][where]
+        d[0] += 1
+        d[1] += sdu.size_bytes
 
     def record_unused_grant(self, nbytes: int) -> None:
         self.unused_grant_bytes += nbytes
@@ -163,42 +159,77 @@ class MetricsCollector:
 
     # ------------------------------------------------------------ finishing
 
-    def build_series(self) -> list[MetricSeries]:
-        n_buckets = -(-self.duration_us // self.bucket_us)
-        scopes = sorted(self._scopes.items())
-        out = []
-        for name, sc in scopes:
-            for metric, buckets in sorted(sc.bits.items()):
-                if buckets:
-                    out.append(MetricSeries(metric, name, [
-                        (b * self.bucket_us, buckets.get(b, 0) * 1e6 / self.bucket_us)
-                        for b in range(n_buckets)]))
-        for name, sc in scopes:
-            if sc.delay:
-                out.append(MetricSeries(DELAY, name, [
-                    (b * self.bucket_us, total / count)
-                    for b, (total, count) in sorted(sc.delay.items())]))
+    def _scopes(self) -> dict[str, tuple]:
+        """Every scope as ({metric: bit buckets}, delay buckets, counts or None).
+        A flow and the cell count end to end. A station counts the flows it
+        sources on its sending side and the flows it receives on its receiving
+        side. The BS counts the uplink hop as its load and input, and the
+        deliveries as its output."""
+        every = list(self._flows.values())
+        out = {}
+        for name, flows in [(flow_scope(cid), [f]) for cid, f in self._flows.items()] + [
+                (SCOPE_CELL, every)]:
+            offered, delivered = _merge(flows, "offered"), _merge(flows, "delivered")
+            out[name] = ({LOAD: offered, THROUGHPUT: delivered}, delivered,
+                         _counts(offered, delivered, flows, ("src", "relay")))
+        hop, delivered = _merge(every, "hop"), _merge(every, "delivered")
+        out[SCOPE_BS] = ({LOAD: hop, IFACE_RECV: hop, THROUGHPUT: delivered,
+                          IFACE_SENT: delivered}, hop, None)
+        for ss_id, (sources, receives) in self._stations.items():
+            offered, hop = _merge(sources, "offered"), _merge(sources, "hop")
+            delivered = _merge(receives, "delivered")
+            out[ss_scope(ss_id)] = (
+                {LOAD: offered, IFACE_SENT: hop, THROUGHPUT: delivered,
+                 IFACE_RECV: delivered}, delivered, _counts(offered, delivered, sources, ()))
         return out
 
-    def build_summary(self, queued_packets: dict[str, int],
-                      queued_bytes: dict[str, int]) -> RunSummary:
+    def build_series(self) -> list[MetricSeries]:
+        n_buckets = -(-self.duration_us // self.bucket_us)
+        scopes = sorted(self._scopes().items())
+        out = []
+        for name, (bits, _, _) in scopes:
+            for metric, buckets in sorted(bits.items()):
+                if buckets:
+                    out.append(MetricSeries(metric, name, [
+                        (b * self.bucket_us,
+                         (buckets[b][0] if b in buckets else 0) * 1e6 / self.bucket_us)
+                        for b in range(n_buckets)]))
+        for name, (_, delay, _) in scopes:
+            if delay:
+                out.append(MetricSeries(DELAY, name, [
+                    (b * self.bucket_us, sum_us / (count * 1_000_000))
+                    for b, (_, count, sum_us, _) in sorted(delay.items())]))
+        return out
+
+    def build_summary(self, queued: dict[int, tuple[int, int]]) -> RunSummary:
+        """Run-wide figures; `queued` holds each flow's (packets, bytes) still
+        queued at the end. Raises ConservationError if a flow or the cell
+        generated other than it delivered, dropped and still queues."""
         s = RunSummary()
         dur_s = self.duration_us / 1e6
-        for name, sc in sorted(self._scopes.items()):
-            for metric, buckets in sorted(sc.bits.items()):
+        scopes = self._scopes()
+        for name, (bits, delay, counts) in sorted(scopes.items()):
+            for metric, buckets in sorted(bits.items()):
                 if buckets:
-                    s.means[(name, metric)] = sum(buckets.values()) / dur_s
-            if sc.n:
-                s.means[(name, DELAY)] = sc.mean
-                s.delay_var[name] = sc.m2 / sc.n
-            if sc.counts:
-                for counter, packets, nbytes in (
-                        ("generated", s.generated_packets, s.generated_bytes),
-                        ("delivered", s.delivered_packets, s.delivered_bytes),
-                        ("dropped", s.dropped_packets, s.dropped_bytes)):
-                    packets[name], nbytes[name] = sc.counts.get(counter, (0, 0))
-        s.queued_packets_end = dict(queued_packets)
-        s.queued_bytes_end = dict(queued_bytes)
+                    s.means[(name, metric)] = sum(r[0] for r in buckets.values()) / dur_s
+            if delay:
+                n, total, total_sq = (sum(r[i] for r in delay.values()) for i in (1, 2, 3))
+                s.means[(name, DELAY)] = total / (n * 1_000_000)
+                s.delay_var[name] = (n * total_sq - total * total) / (n * n * 10**12)
+            if counts and any(packets for packets, _ in counts.values()):
+                for counter, (packets, nbytes) in counts.items():
+                    getattr(s, f"{counter}_packets")[name] = packets
+                    getattr(s, f"{counter}_bytes")[name] = nbytes
+        ends = {flow_scope(cid): queued[cid] for cid in self._flows}
+        ends[SCOPE_CELL] = tuple(map(sum, zip(*ends.values()))) or (0, 0)
+        for name, end in ends.items():
+            s.queued_packets_end[name], s.queued_bytes_end[name] = end
+            counts = scopes[name][2]
+            gen = counts["generated"]
+            acc = tuple(map(sum, zip(counts["delivered"], counts["dropped"], end)))
+            if gen != acc:
+                raise ConservationError(
+                    f"{name}: generated {gen} != delivered+dropped+queued {acc}")
         s.unused_grant_bytes = self.unused_grant_bytes
         s.collisions = self.collisions
         return s
@@ -215,15 +246,10 @@ def emit_csv(fh: IO[str], meta: RunMeta, series: list[MetricSeries],
         rows.append((scope, metric, -1.0, value))
     for scope, var in summary.delay_var.items():
         rows.append((scope, "delay_var_s2", -1.0, var))
-    for attr, name in ((summary.generated_packets, "generated_packets"),
-                       (summary.generated_bytes, "generated_bytes"),
-                       (summary.delivered_packets, "delivered_packets"),
-                       (summary.delivered_bytes, "delivered_bytes"),
-                       (summary.dropped_packets, "dropped_packets"),
-                       (summary.dropped_bytes, "dropped_bytes"),
-                       (summary.queued_packets_end, "queued_packets_end"),
-                       (summary.queued_bytes_end, "queued_bytes_end")):
-        for scope, value in attr.items():
+    for name in ("generated_packets", "generated_bytes", "delivered_packets",
+                 "delivered_bytes", "dropped_packets", "dropped_bytes",
+                 "queued_packets_end", "queued_bytes_end"):
+        for scope, value in getattr(summary, name).items():
             rows.append((scope, name, -1.0, float(value)))
     rows.append((SCOPE_CELL, "unused_grant_bytes", -1.0, float(summary.unused_grant_bytes)))
     rows.append((SCOPE_CELL, "collisions", -1.0, float(summary.collisions)))

@@ -110,7 +110,7 @@ class SubscriberStation:
                     end_t = ul_start + cfg.tx_time_us(cursor)
                     served += sdu.size_bytes
                     sent_data = True
-                    run.uplink_arrival(self, sdu, n, start_t, end_t)
+                    run.uplink_arrival(sdu, n, start_t, end_t)
             run.metrics.record_unused_grant(length - served)
 
         polled = set()

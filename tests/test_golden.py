@@ -19,7 +19,7 @@ from pmpsim.cli import main
 # (scenario, BS scheduler, SS scheduler, seed, strict_paper, CSV SHA-256)
 GOLDEN = [
     ("paper-pmp", "wfq", "wfq", 1, False, "9dd2e69baee10c47d76c1175bbe8f4ababb08c6d62753cd7be31e7afde19f48d"),
-    ("paper-pmp", "wfq", "wfq", 2, False, "d3de505673c1b1e8210985985584d196fd3f4cdffa98d0f9a99836eaa3ca99a7"),
+    ("paper-pmp", "wfq", "wfq", 2, False, "420a718d83665506a4c835d3d437b7db89d5406a48f42e55b342cc116792cc72"),
     ("paper-pmp", "dwrr", "dwrr", 1, False, "067ca020f3ed2b321a3aee47c6becb3b45e7b19bb3dcd3fe1e4c68ca639ee28e"),
     ("paper-pmp", "dwrr", "dwrr", 2, False, "67084e15c9c3687ce75ec4eff89419d3a1611bef37659a82fd89985d8bf9cf06"),
     ("paper-pmp", "wrr", "wrr", 1, False, "fbcd60bf366d6057ea382baa74dd6b148fd69009c6e9c3aefe1110798a7ca1c0"),
@@ -27,11 +27,11 @@ GOLDEN = [
     ("paper-pmp", "fifo", "fifo", 1, False, "d5e6cf744babef59d2b6cb7f4245bcf61feed73521a1d3bd34bddcd84b5dc9e1"),
     ("paper-pmp", "fifo", "fifo", 2, False, "0fb54c1bcb39baa85cc340e7efe4d2a546254d66eedfd47e35b08e16007477cf"),
     ("paper-pmp-literal", "wfq", "wfq", 1, False, "ed6f8db5eddb32f2c11ddbe882a90f8993dfc7c264f8e4641819f26d8b43e74e"),
-    ("paper-pmp-literal", "wfq", "wfq", 2, False, "d93b2eb5c36f39afb3517f4cf8369227c58c5dac64ff985a60f4f472b46fc8ee"),
+    ("paper-pmp-literal", "wfq", "wfq", 2, False, "d371bdcb29e3f392df20dfae3f9550fea8bfdc7f68bc702c270dec9dd11d5356"),
     ("paper-pmp-literal", "dwrr", "dwrr", 1, False, "41bc147bd2bb9af20bcbe5cc48331628c438b8124aa6a93fd382230be8c8a9a6"),
     ("paper-pmp-literal", "dwrr", "dwrr", 2, False, "ee8708ddfd6539aa48f2c14c06e2aedf6b966413a787c05e5d1183c99040ab97"),
     ("paper-pmp-literal", "wrr", "wrr", 1, False, "aa765c2177590e939d50a96939029b9e818ed95db2587b8971dec611988314b3"),
-    ("paper-pmp-literal", "wrr", "wrr", 2, False, "340c730800c58147db38a41ee2a2480857169bde37343f9001558072ca0a3e03"),
+    ("paper-pmp-literal", "wrr", "wrr", 2, False, "5b6dbc6343fab0a9bcb8ca52e101d5d889cbbc83f401e1838d6569860ec342f2"),
     ("paper-pmp-literal", "fifo", "fifo", 1, False, "020b8a100598cfd064ab26734bf4b47897310d174e45f71fb6b8bb782448a2be"),
     ("paper-pmp-literal", "fifo", "fifo", 2, False, "75eebd3f4ce4e98f0a672dc1959decc9465baa2487029f4a5619afaac8a6dd99"),
     # piggyback requests off
@@ -44,8 +44,8 @@ GOLDEN = [
 # 40 stations, one uplink flow each, flow kinds cycling; (scheduler, CSV SHA-256)
 WIDE_GOLDEN = [
     ("wfq", "104209d7674eedd7f64faeed1ef8e106389de817930799c2925c07d938af35ff"),
-    ("dwrr", "dd6ea8fe27e93875a15bb24d0dc1f0290f6fbb80408ee520c1e9a85fbcb3f428"),
-    ("wrr", "1dbd71f9926cca22a2114c770bae2c1062e910f80a08a54906e0c1255e937a84"),
+    ("dwrr", "7e529a9e07435a5af40312c9e4ae9fa2a21ddd1e8873e1c07f9d6d428bab7aa2"),
+    ("wrr", "83aa467c0b34fe0248141742baea1631379671fb56027bf3c674b67b6aad2943"),
     ("fifo", "f2e0f39e4803a2a585de1f21c013ef171a2b07310cc4f579f48359272169a155"),
 ]
 WIDE_KINDS = ("ftp", "video", "http", "voip_silence", "voice")

@@ -8,7 +8,7 @@ from pmpsim.qos import MacSdu
 
 
 def collector(bucket_us=1_000_000, duration_us=3_000_000):
-    return MetricsCollector(bucket_us, duration_us, flow_cids=[1], ss_ids=[1, 2])
+    return MetricsCollector(bucket_us, duration_us, flows={1: (1, 2)})
 
 
 def sdu(i, size=100, created=0):
@@ -18,7 +18,7 @@ def sdu(i, size=100, created=0):
 def test_delay_sample_seconds():
     m = collector()
     s = sdu(0, created=0)
-    m.record_delivery(s, 25_000, dst_ss=2)
+    m.record_delivery(s, 25_000)
     assert s.delivered_at == 25_000
     series = {(x.scope, x.name): x for x in m.build_series()}
     delay = series[("cell", "delay_s")]
@@ -28,16 +28,16 @@ def test_delay_sample_seconds():
 def test_double_delivery_is_hard_fault():
     m = collector()
     s = sdu(0)
-    m.record_delivery(s, 10_000, dst_ss=2)
+    m.record_delivery(s, 10_000)
     with pytest.raises(RuntimeError):
-        m.record_delivery(s, 20_000, dst_ss=2)
+        m.record_delivery(s, 20_000)
 
 
 def test_steady_flow_throughput_64kbps():
     # one 100-byte delivery per 12.5 ms frame: every full bucket reads 64 kb/s
     m = collector(duration_us=2_000_000)
     for i in range(160):
-        m.record_delivery(sdu(i, created=i * 12_500), i * 12_500 + 100, dst_ss=2)
+        m.record_delivery(sdu(i, created=i * 12_500), i * 12_500 + 100)
     series = {(x.scope, x.name): x for x in m.build_series()}
     tput = series[("cell", "throughput_bps")]
     assert [v for _, v in tput.samples] == [64_000.0, 64_000.0]
@@ -45,7 +45,7 @@ def test_steady_flow_throughput_64kbps():
 
 def test_empty_bucket_throughput_zero_delay_absent():
     m = collector(duration_us=3_000_000)
-    m.record_delivery(sdu(0, created=0), 100, dst_ss=2)  # bucket 0 only
+    m.record_delivery(sdu(0, created=0), 100)  # bucket 0 only
     series = {(x.scope, x.name): x for x in m.build_series()}
     tput = series[("cell", "throughput_bps")]
     assert [v for _, v in tput.samples] == [800.0, 0.0, 0.0]
@@ -56,7 +56,7 @@ def test_empty_bucket_throughput_zero_delay_absent():
 def test_load_recorded_at_creation_time():
     m = collector()
     s = sdu(0, size=1500, created=1_200_000)
-    m.record_offered(s, src_ss=1)
+    m.record_offered(s)
     series = {(x.scope, x.name): x for x in m.build_series()}
     load = series[("cell", "load_bps")]
     assert [v for _, v in load.samples] == [0.0, 12_000.0, 0.0]
@@ -65,11 +65,11 @@ def test_load_recorded_at_creation_time():
 def test_summary_counts_and_conservation_fields():
     m = collector()
     a, b = sdu(0, size=100), sdu(1, size=200)
-    m.record_offered(a, src_ss=1)
-    m.record_offered(b, src_ss=1)
-    m.record_delivery(a, 50_000, dst_ss=2)
+    m.record_offered(a)
+    m.record_offered(b)
+    m.record_delivery(a, 50_000)
     m.record_drop(b, "src")
-    s = m.build_summary({"cell": 0, "flow_00001": 0}, {"cell": 0, "flow_00001": 0})
+    s = m.build_summary({1: (0, 0)})
     assert s.generated_bytes["cell"] == 300
     assert s.delivered_bytes["cell"] == 100
     assert s.dropped_bytes["cell"] == 200
@@ -81,12 +81,12 @@ def test_csv_deterministic_and_readable_back():
         m = collector()
         for i in range(10):
             s = sdu(i, created=i * 10_000)
-            m.record_offered(s, src_ss=1)
-            m.record_delivery(s, i * 10_000 + 500, dst_ss=2)
+            m.record_offered(s)
+            m.record_delivery(s, i * 10_000 + 500)
         meta = RunMeta("unit", "wfq", "wfq", 42)
         out = io.StringIO()
         emit_csv(out, meta, m.build_series(),
-                 m.build_summary({"cell": 0}, {"cell": 0}))
+                 m.build_summary({1: (0, 0)}))
         return out.getvalue()
 
     text1, text2 = build(), build()
@@ -99,12 +99,12 @@ def test_csv_deterministic_and_readable_back():
 def test_csv_summary_roundtrip(tmp_path):
     m = collector()
     s = sdu(0, created=0)
-    m.record_offered(s, src_ss=1)
-    m.record_delivery(s, 40_000, dst_ss=2)
+    m.record_offered(s)
+    m.record_delivery(s, 40_000)
     path = tmp_path / "run.csv"
     with open(path, "w") as fh:
         emit_csv(fh, RunMeta("unit", "wfq", "dwrr", 7), m.build_series(),
-                 m.build_summary({"cell": 0}, {"cell": 0}))
+                 m.build_summary({1: (0, 0)}))
     summary = read_summary_csv(str(path))
     assert summary[("cell", "delay_s")] == pytest.approx(0.04)
     assert summary[("cell", "delivered_packets")] == 1.0
@@ -112,10 +112,12 @@ def test_csv_summary_roundtrip(tmp_path):
 
 def test_values_fixed_six_decimals():
     m = collector()
-    m.record_delivery(sdu(0, created=0), 12_345, dst_ss=2)
+    s = sdu(0, created=0)
+    m.record_offered(s)
+    m.record_delivery(s, 12_345)
     out = io.StringIO()
     emit_csv(out, RunMeta("u", "wfq", "wfq", 1), m.build_series(),
-             m.build_summary({}, {}))
+             m.build_summary({1: (0, 0)}))
     for line in out.getvalue().splitlines()[1:]:
         bucket, value = line.split(",")[-2:]
         assert len(bucket.split(".")[1]) == 6
