@@ -162,9 +162,9 @@ class MetricsCollector:
     def _scopes(self) -> dict[str, tuple]:
         """Every scope as ({metric: bit buckets}, delay buckets, counts or None).
         A flow and the cell count end to end. A station counts the flows it
-        sources on its sending side and the flows it receives on its receiving
-        side. The BS counts the uplink hop as its load and input, and the
-        deliveries as its output."""
+        sources on its sending side, with the drops at its own queues, and the
+        flows it receives on its receiving side. The BS counts the uplink hop
+        as its load and input, and the deliveries as its output."""
         every = list(self._flows.values())
         out = {}
         for name, flows in [(flow_scope(cid), [f]) for cid, f in self._flows.items()] + [
@@ -180,7 +180,7 @@ class MetricsCollector:
             delivered = _merge(receives, "delivered")
             out[ss_scope(ss_id)] = (
                 {LOAD: offered, IFACE_SENT: hop, THROUGHPUT: delivered,
-                 IFACE_RECV: delivered}, delivered, _counts(offered, delivered, sources, ()))
+                 IFACE_RECV: delivered}, delivered, _counts(offered, delivered, sources, ("src",)))
         return out
 
     def build_series(self) -> list[MetricSeries]:

@@ -1,10 +1,13 @@
 import io
+from collections import Counter
+from fractions import Fraction
 
 import pytest
 
-from pmpsim.engine import run_scenario
-from pmpsim.metrics import flow_scope
-from pmpsim.phy import Direction, GrantKind
+from pmpsim import load_scenario
+from pmpsim.engine import SimulationRun, run_scenario
+from pmpsim.metrics import flow_scope, ss_scope
+from pmpsim.phy import Direction, FrameConfig, GrantKind
 from pmpsim.scenario import Scenario, FlowSpec
 from pmpsim.traffic import build_paper_scenario
 
@@ -108,6 +111,43 @@ def test_relay_queue_overflow_drops_counted():
                                           + s.queued_packets_end[scope])
 
 
+def drop_scenario(place: str) -> Scenario:
+    """A run whose drops are all at `place`, "src" or "relay"."""
+    if place == "src":  # paper-pmp drops at the source queues of SS1 and SS3
+        sc = load_scenario("paper-pmp")
+        sc.seed, sc.duration_us = 2, 2_000_000
+        return sc
+    # a downlink smaller than the offered load: every drop is at the relay
+    sc = tiny_scenario()
+    sc.frame = FrameConfig(dl_fraction=Fraction(1, 40))
+    sc.flows[0].queue_packets = 20
+    sc.validate()
+    return sc
+
+
+@pytest.mark.parametrize("place", ["src", "relay"])
+def test_station_counts_the_drops_at_its_own_source_queues(place):
+    run = SimulationRun(drop_scenario(place))
+    drops = Counter()  # (place, source station) -> [packets, bytes]
+    record = run.metrics.record_drop
+
+    def spy(sdu, where):
+        key = (where, run.ul_conns[sdu.flow_cid].src)
+        drops[key + ("packets",)] += 1
+        drops[key + ("bytes",)] += sdu.size_bytes
+        record(sdu, where)
+
+    run.metrics.record_drop = spy
+    s = run.run().summary
+    assert drops[(place, 1, "packets")] > 0
+    for ss_id in range(1, run.scenario.station_count + 1):
+        scope = ss_scope(ss_id)
+        assert s.dropped_packets[scope] == drops[("src", ss_id, "packets")]
+        assert s.dropped_bytes[scope] == drops[("src", ss_id, "bytes")]
+    assert s.dropped_packets["cell"] == sum(
+        n for key, n in drops.items() if key[2] == "packets")
+
+
 def test_ertps_packets_over_the_rate_grant_are_served():
     # 64 kb/s over a 12.5 ms interval grants 100 B, but each packet is 200 B:
     # a talking flow's grant must still hold one packet
@@ -130,8 +170,6 @@ def test_identical_runs_identical_csv():
 def test_saturated_downlink_uses_full_budget():
     # shrink the downlink share until the relay becomes the bottleneck:
     # served DL bytes per frame then sit at capacity minus map overhead
-    from fractions import Fraction
-    from pmpsim.phy import FrameConfig
 
     sc = tiny_scenario()
     sc.frame = FrameConfig(dl_fraction=Fraction(1, 40))  # DL ~1.8 Mb/s < 2 Mb/s offered

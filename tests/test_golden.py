@@ -19,21 +19,21 @@ from pmpsim.cli import main
 # (scenario, BS scheduler, SS scheduler, seed, strict_paper, CSV SHA-256)
 GOLDEN = [
     ("paper-pmp", "wfq", "wfq", 1, False, "9dd2e69baee10c47d76c1175bbe8f4ababb08c6d62753cd7be31e7afde19f48d"),
-    ("paper-pmp", "wfq", "wfq", 2, False, "420a718d83665506a4c835d3d437b7db89d5406a48f42e55b342cc116792cc72"),
+    ("paper-pmp", "wfq", "wfq", 2, False, "886dd941b114932b3a5a4243b2338381b55c54323520a3703a5cfb4259890989"),
     ("paper-pmp", "dwrr", "dwrr", 1, False, "067ca020f3ed2b321a3aee47c6becb3b45e7b19bb3dcd3fe1e4c68ca639ee28e"),
-    ("paper-pmp", "dwrr", "dwrr", 2, False, "67084e15c9c3687ce75ec4eff89419d3a1611bef37659a82fd89985d8bf9cf06"),
+    ("paper-pmp", "dwrr", "dwrr", 2, False, "ec58cf21c09c06acc6ff5c8c862388a8b693346b2277de15cc162ce19f30ec83"),
     ("paper-pmp", "wrr", "wrr", 1, False, "fbcd60bf366d6057ea382baa74dd6b148fd69009c6e9c3aefe1110798a7ca1c0"),
-    ("paper-pmp", "wrr", "wrr", 2, False, "54e81e8354e14bc40573cb0f9ff46d64ad17165a84a45101c33713478d59006e"),
+    ("paper-pmp", "wrr", "wrr", 2, False, "e8cbb3f1b8969e0de7ee74494c437d5b8e11caa1f5bd899b786adca9e8f384e3"),
     ("paper-pmp", "fifo", "fifo", 1, False, "d5e6cf744babef59d2b6cb7f4245bcf61feed73521a1d3bd34bddcd84b5dc9e1"),
-    ("paper-pmp", "fifo", "fifo", 2, False, "0fb54c1bcb39baa85cc340e7efe4d2a546254d66eedfd47e35b08e16007477cf"),
+    ("paper-pmp", "fifo", "fifo", 2, False, "548ff2f68a9a8b70e02901e840984a7f86d6cc613d3d4a0e7ed0f0d40b43845c"),
     ("paper-pmp-literal", "wfq", "wfq", 1, False, "ed6f8db5eddb32f2c11ddbe882a90f8993dfc7c264f8e4641819f26d8b43e74e"),
-    ("paper-pmp-literal", "wfq", "wfq", 2, False, "d371bdcb29e3f392df20dfae3f9550fea8bfdc7f68bc702c270dec9dd11d5356"),
+    ("paper-pmp-literal", "wfq", "wfq", 2, False, "f0b651fd9f8ff47f8d95df2151545809c4a73394a507ffab964e71c712da2631"),
     ("paper-pmp-literal", "dwrr", "dwrr", 1, False, "41bc147bd2bb9af20bcbe5cc48331628c438b8124aa6a93fd382230be8c8a9a6"),
-    ("paper-pmp-literal", "dwrr", "dwrr", 2, False, "ee8708ddfd6539aa48f2c14c06e2aedf6b966413a787c05e5d1183c99040ab97"),
+    ("paper-pmp-literal", "dwrr", "dwrr", 2, False, "83cf6021faa6b88bcf76c870267d8de494ade2ddacce3fcf4f7085c2ac58bbf5"),
     ("paper-pmp-literal", "wrr", "wrr", 1, False, "aa765c2177590e939d50a96939029b9e818ed95db2587b8971dec611988314b3"),
-    ("paper-pmp-literal", "wrr", "wrr", 2, False, "5b6dbc6343fab0a9bcb8ca52e101d5d889cbbc83f401e1838d6569860ec342f2"),
+    ("paper-pmp-literal", "wrr", "wrr", 2, False, "b1aae8e7b276986f987c4e56a22d4011b2bfc96b3fa0f81e4c218ab26e04fb44"),
     ("paper-pmp-literal", "fifo", "fifo", 1, False, "020b8a100598cfd064ab26734bf4b47897310d174e45f71fb6b8bb782448a2be"),
-    ("paper-pmp-literal", "fifo", "fifo", 2, False, "75eebd3f4ce4e98f0a672dc1959decc9465baa2487029f4a5619afaac8a6dd99"),
+    ("paper-pmp-literal", "fifo", "fifo", 2, False, "60b0f94f6ecb1c25baa503608d2f09ae2049dbe960a2bbbe2db39d805208f23b"),
     # piggyback requests off
     ("paper-pmp", "wfq", "wfq", 1, True, "66f94e01b4e3f5b3cdc6ec7781a00a94cdc0fcde662438746577f4102da5a224"),
     # a BS/SS scheduler pair that `compare` never runs
@@ -43,9 +43,9 @@ GOLDEN = [
 
 # 40 stations, one uplink flow each, flow kinds cycling; (scheduler, CSV SHA-256)
 WIDE_GOLDEN = [
-    ("wfq", "104209d7674eedd7f64faeed1ef8e106389de817930799c2925c07d938af35ff"),
-    ("dwrr", "7e529a9e07435a5af40312c9e4ae9fa2a21ddd1e8873e1c07f9d6d428bab7aa2"),
-    ("wrr", "83aa467c0b34fe0248141742baea1631379671fb56027bf3c674b67b6aad2943"),
+    ("wfq", "b9939f1622ada2bb280a1b7769d0c2e58adc520f8afde0bf4b28080746e6631e"),
+    ("dwrr", "8e2c366db3517e69007ea4bd6a9ff13bf9c3309fcfa603cf5772700c1089f133"),
+    ("wrr", "f1dc88842ff5444deaaf3669fc43a4f10bf7a44f7a74f0db4dc7723ca3181480"),
     ("fifo", "f2e0f39e4803a2a585de1f21c013ef171a2b07310cc4f579f48359272169a155"),
 ]
 WIDE_KINDS = ("ftp", "video", "http", "voip_silence", "voice")
