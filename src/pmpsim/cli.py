@@ -1,11 +1,14 @@
 """Command-line surface: run, compare, validate, print-scenario.
 
-Exit codes: 0 success, 1 scenario error, 2 runtime invariant violation.
+Exit codes: 0 success, 1 scenario error or bad command-line input (an output
+path that cannot be written, a scheduler or seed given twice), 2 runtime
+invariant violation.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -85,31 +88,60 @@ def _load(args) -> Scenario:
     return sc
 
 
+def _check_out(path: str) -> None:
+    """Reject an --out path that names a directory or lies in a missing one,
+    before any work is done for it."""
+    folder = os.path.dirname(os.path.abspath(path))
+    if os.path.isdir(path):
+        raise ScenarioError(f"--out: {path} is a directory")
+    if not os.path.isdir(folder):
+        raise ScenarioError(f"--out: no directory {folder}")
+
+
+def _write(path: str, write) -> None:
+    try:
+        with open(path, "w") as fh:
+            write(fh)
+    except OSError as e:
+        raise ScenarioError(f"--out: cannot write {path}: {e.strerror}")
+
+
 def cmd_run(args) -> int:
     sc = _load(args)
+    if args.out != "-":
+        _check_out(args.out)
     result = run_scenario(sc)
     if args.out == "-":
         result.write_csv(sys.stdout)
     else:
-        with open(args.out, "w") as fh:
-            result.write_csv(fh)
+        _write(args.out, result.write_csv)
         print(f"wrote {args.out} ({result.dispatched} events dispatched)")
     return 0
 
 
+def _unique(flag: str, values: list) -> list:
+    for i, v in enumerate(values):
+        if v in values[:i]:
+            raise ScenarioError(f"{flag}: {v} is given twice")
+    return values
+
+
 def cmd_compare(args) -> int:
     schedulers = [s.strip() for s in args.schedulers.split(",") if s.strip()]
-    if len(schedulers) < 2:
+    if len(_unique("--schedulers", schedulers)) < 2:
         raise ScenarioError("compare needs at least two schedulers")
     try:
         seeds = [int(s) for s in args.seeds.split(",") if s.strip()]
     except ValueError:
         raise ScenarioError(f"--seeds: expected comma-separated integers, got {args.seeds!r}")
-    if not seeds:
+    if not _unique("--seeds", seeds):
         raise ScenarioError("compare needs at least one seed")
     base = _load(args)
     out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as e:
+        raise ScenarioError(f"--out-dir: cannot create {out_dir}: {e.strerror}")
 
     summaries = {}
     for sched in schedulers:
@@ -150,7 +182,7 @@ def cmd_print_scenario(args) -> int:
     if args.out == "-":
         sys.stdout.write(text)
     else:
-        Path(args.out).write_text(text)
+        _write(args.out, lambda fh: fh.write(text))
     return 0
 
 

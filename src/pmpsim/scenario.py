@@ -28,6 +28,9 @@ CBR_KINDS = ("voice", "voip_silence", "ftp")  # constant-rate kinds: rate_bps, p
 INT_MAX = 2**53
 # each flow takes two connection ids, and a cid has 16 bits
 MAX_FLOWS = 2**15 - 1
+# libyaml's parser where PyYAML is built with it; both feed the same Python
+# SafeConstructor, so the parsed values are identical
+_YAML_LOADER = yaml.CSafeLoader if yaml.__with_libyaml__ else yaml.SafeLoader
 
 
 class ScenarioError(Exception):
@@ -175,7 +178,7 @@ FIELDS = tuple(row + (None, False)[len(row) - 6:] for row in (
     # rtPS polled every frame; nrtPS polled infrequently
     ("flows", "grant_interval_us", "grant_interval_us", _int,
      {_UGS: 12_500, _ERTPS: 12_500, _RTPS: 12_500, _NRTPS: 1_000_000, _BE: 1_000_000}, 1),
-    ("flows", "start_us", "start_us", _int, 0, 1, None, True),
+    ("flows", "start_us", "start_us", _int, 0, 0, None, True),
     ("flows", "stop_us", "stop_us", _int_or_none, None, 1, None, True),
     ("flows", "rate_bps", "rate_bps", _int,
      {"voice": 64_000, "voip_silence": 64_000, "ftp": 2_000_000, "video": 0, "http": 0},
@@ -411,7 +414,7 @@ def load_scenario(path_or_name: str) -> Scenario:
         return builtin[path_or_name]()
     try:
         with open(path_or_name) as fh:
-            raw = yaml.safe_load(fh)
+            raw = yaml.load(fh, Loader=_YAML_LOADER)
     except FileNotFoundError:
         raise ScenarioError(
             f"no scenario file {path_or_name!r} and no built-in of that name "

@@ -186,13 +186,37 @@ def _binary_file(tmp_path):
     (_binary_file, "binary.yaml: cannot read: "),
     (lambda tmp_path: ["compare", "--scenario", tiny_file(tmp_path), "--seeds", "1,x",
                        "--out-dir", str(tmp_path / "cmp")], "--seeds: expected"),
+    # the command line's own inputs
+    (lambda tmp_path: ["run", "--scenario", tiny_file(tmp_path),
+                       "--out", str(tmp_path / "missing" / "x.csv")], "--out: no directory"),
+    (lambda tmp_path: ["run", "--scenario", tiny_file(tmp_path), "--out", str(tmp_path)],
+     "is a directory"),
+    (lambda tmp_path: ["print-scenario", "--out", str(tmp_path / "missing" / "x.yaml")],
+     "--out: cannot write"),
+    (lambda tmp_path: ["compare", "--scenario", tiny_file(tmp_path), "--schedulers", "wfq,wfq",
+                       "--out-dir", str(tmp_path / "cmp")], "--schedulers: wfq is given twice"),
+    (lambda tmp_path: ["compare", "--scenario", tiny_file(tmp_path), "--seeds", "1,2,1",
+                       "--out-dir", str(tmp_path / "cmp")], "--seeds: 1 is given twice"),
+    (lambda tmp_path: ["compare", "--scenario", tiny_file(tmp_path), "--seeds", "1",
+                       "--out-dir", tiny_file(tmp_path)], "--out-dir: cannot create"),
 ], ids=["rate-zero", "rate-negative", "alpha-text", "alpha-one", "sigma-negative",
         "frame-not-mapping", "sigma-huge", "rate-subnormal", "page-bytes-huge",
         "voice-period-zero", "stop-before-start", "page-mean-over-max", "coding-rate-zero",
         "efficiency-negative", "name-comma",
         "name-newline", "too-many-flows", "scenario-is-directory", "scenario-not-text",
-        "seed-not-integer"])
+        "seed-not-integer", "run-out-no-directory", "run-out-is-directory",
+        "print-out-no-directory", "compare-scheduler-twice", "compare-seed-twice",
+        "compare-out-dir-is-file"])
 def test_bad_scenario_exit_1_with_path(tmp_path, capsys, argv, path):
     assert run_cli(*argv(tmp_path)) == 1
     err = capsys.readouterr().err
     assert err.startswith("scenario error: ") and path in err, err
+
+
+def test_run_checks_out_path_before_running(tmp_path, monkeypatch):
+    def no_run(_scenario):
+        raise AssertionError("the run started before --out was checked")
+
+    monkeypatch.setattr("pmpsim.cli.run_scenario", no_run)
+    assert run_cli("run", "--scenario", tiny_file(tmp_path),
+                   "--out", str(tmp_path / "missing" / "x.csv")) == 1

@@ -5,6 +5,7 @@ import pytest
 import yaml
 from hypothesis import given, settings, strategies as st
 
+import pmpsim.scenario as scenario_module
 from pmpsim import run_scenario
 from pmpsim.bwreq import OversubscribedUgsError
 from pmpsim.qos import SchedulingClass
@@ -117,6 +118,32 @@ def test_parse_error_reports_path(tmp_path):
         load_scenario(str(path))
 
 
+def test_start_us_zero_is_the_default(tmp_path):
+    flow = {"kind": "ftp", "src": 1, "dst": 2}
+    dumps = []
+    for extra in ({}, {"start_us": 0}):
+        path = tmp_path / f"s{len(dumps)}.yaml"
+        path.write_text(yaml.safe_dump({"flows": [{**flow, **extra}]}))
+        sc = load_scenario(str(path))
+        assert sc.flows[0].start_us == 0
+        dumps.append(sc.to_yaml())
+    assert dumps[0] == dumps[1]
+
+
+@pytest.mark.parametrize("loader", ["SafeLoader", "CSafeLoader"])
+def test_scenario_files_parse_alike_with_either_yaml_loader(tmp_path, monkeypatch, loader):
+    if not hasattr(yaml, loader):
+        pytest.skip(f"PyYAML built without {loader}")
+    monkeypatch.setattr(scenario_module, "_YAML_LOADER", getattr(yaml, loader))
+    text = load_scenario("paper-pmp").to_yaml()
+    path = tmp_path / "s.yaml"
+    path.write_text(text)
+    assert load_scenario(str(path)).to_yaml() == text
+    path.write_text("frame: [unclosed")
+    with pytest.raises(ScenarioError, match="YAML parse error"):
+        load_scenario(str(path))
+
+
 def test_modulation_selectable(tmp_path):
     path = tmp_path / "s.yaml"
     path.write_text(yaml.safe_dump({
@@ -155,7 +182,7 @@ SMALL_VALUES = {
     "min_window": [1, 2, 8], "max_window": [1, 8, 1024], "request_bytes": [1, 8, 100],
     "min_slots": [1, 4, 1000], "weight": [1, 2, 8], "queue_packets": [1, 3, 100],
     "mtu_bytes": [100, 1500], "grant_interval_us": [1, 5_000, 12_500, 1_000_000],
-    "start_us": [1, 100_000], "stop_us": [None, 50_000, 200_000],
+    "start_us": [0, 100_000], "stop_us": [None, 50_000, 200_000],
     "rate_bps": [1, 64_000, 2_000_000], "packet_bytes": [50, 100, 200, 1500],
     "talk_mean_us": [1_000, 1_200_000], "silence_mean_us": [1_000, 1_800_000],
     "frame_interval_us": [10_000, 40_000], "mean_frame_bytes": [1, 6_000, 30_000],
