@@ -1,4 +1,4 @@
-"""Independent brute-force reference schedulers.
+"""Independent brute-force reference schedulers, and a reference metrics collector.
 
 Written separately from the package, in plain step-by-step style, so the
 production schedulers can be checked against them output-for-output.
@@ -15,6 +15,10 @@ credit after the select ({cid: credit}; always 0 for wfq and fifo).
 The single-shot `*_reference` functions are one frame of the same reference:
 they take queues as (cid, weight_or_quantum, [(pid, size), ...]) and return
 the served list of that frame.
+
+`FanoutCollector` is the reference for `pmpsim.metrics.MetricsCollector`:
+it writes each event into every scope it counts toward as the event happens,
+with float delay sums and running (Welford) statistics.
 """
 
 from fractions import Fraction
@@ -248,3 +252,118 @@ def fifo_reference(queues, budget):
     """queues: list of (cid, arrivals, packets); arrivals parallel to packets."""
     return _one_frame(fifo_frames, [(c, 1, p) for c, _, p in queues], budget,
                       arrivals={c: a for c, a, _ in queues})
+
+
+# ------------------------------------------------------------------ metrics
+
+class _FanoutScope:
+    """What one scope recorded: bits per bucket by metric, delay [sum_s, count]
+    per bucket with running (Welford) statistics, and [packets, bytes] by
+    counter. An empty container, or n == 0, means nothing was recorded."""
+
+    def __init__(self):
+        self.bits = {"load_bps": {}, "throughput_bps": {},
+                     "iface_sent_bps": {}, "iface_recv_bps": {}}
+        self.delay = {}
+        self.counts = {}
+        self.n, self.mean, self.m2 = 0, 0.0, 0.0
+
+    def add_bits(self, metric, b, bits):
+        self.bits[metric][b] = self.bits[metric].get(b, 0) + bits
+
+    def add_delay(self, b, x):
+        cell = self.delay.setdefault(b, [0.0, 0])
+        cell[0] += x
+        cell[1] += 1
+        self.n += 1
+        d = x - self.mean
+        self.mean += d / self.n
+        self.m2 += d * (x - self.mean)
+
+    def count(self, counter, nbytes):
+        c = self.counts.setdefault(counter, [0, 0])
+        c[0] += 1
+        c[1] += nbytes
+
+
+class FanoutCollector:
+    """The cell, the BS, each station and each flow keep their own scope, and
+    every record call names the stations involved. A flow and the cell count
+    end to end; a station counts its own flows' load, uplink sends and source
+    drops, and the flows it receives; the BS counts the uplink hop in and the
+    deliveries out."""
+
+    def __init__(self, bucket_us, duration_us, flow_cids, ss_ids):
+        self.bucket_us = bucket_us
+        self.duration_us = duration_us
+        self.cell, self.bs = _FanoutScope(), _FanoutScope()
+        self.flows = {cid: _FanoutScope() for cid in flow_cids}
+        self.sss = {s: _FanoutScope() for s in ss_ids}
+
+    def scopes(self):
+        named = {"cell": self.cell, "bs": self.bs}
+        named.update({f"flow_{cid:05d}": sc for cid, sc in self.flows.items()})
+        named.update({f"ss_{s:02d}": sc for s, sc in self.sss.items()})
+        return sorted(named.items())
+
+    def record_offered(self, sdu, src_ss):
+        b = sdu.created_at // self.bucket_us
+        for sc in (self.cell, self.flows[sdu.flow_cid], self.sss[src_ss]):
+            sc.add_bits("load_bps", b, sdu.size_bytes * 8)
+            sc.count("generated", sdu.size_bytes)
+
+    def record_bs_ingress(self, sdu, t, src_ss):
+        b = t // self.bucket_us
+        self.bs.add_delay(b, (t - sdu.created_at) / 1e6)
+        self.bs.add_bits("load_bps", b, sdu.size_bytes * 8)
+        self.bs.add_bits("iface_recv_bps", b, sdu.size_bytes * 8)
+        self.sss[src_ss].add_bits("iface_sent_bps", b, sdu.size_bytes * 8)
+
+    def record_delivery(self, sdu, t, dst_ss):
+        b = t // self.bucket_us
+        dst = self.sss[dst_ss]
+        for sc in (self.cell, self.flows[sdu.flow_cid], dst):
+            sc.add_bits("throughput_bps", b, sdu.size_bytes * 8)
+            sc.add_delay(b, (t - sdu.created_at) / 1e6)
+            sc.count("delivered", sdu.size_bytes)
+        self.bs.add_bits("throughput_bps", b, sdu.size_bytes * 8)
+        self.bs.add_bits("iface_sent_bps", b, sdu.size_bytes * 8)
+        dst.add_bits("iface_recv_bps", b, sdu.size_bytes * 8)
+
+    def record_drop(self, sdu, where, src_ss):
+        scopes = [self.cell, self.flows[sdu.flow_cid]]
+        if where == "src":
+            scopes.append(self.sss[src_ss])
+        for sc in scopes:
+            sc.count("dropped", sdu.size_bytes)
+
+    def build_series(self):
+        """{(scope, metric): [(bucket_start_us, value), ...]}"""
+        out = {}
+        n_buckets = -(-self.duration_us // self.bucket_us)
+        for name, sc in self.scopes():
+            for metric, buckets in sc.bits.items():
+                if buckets:
+                    out[(name, metric)] = [
+                        (b * self.bucket_us, buckets.get(b, 0) * 1e6 / self.bucket_us)
+                        for b in range(n_buckets)]
+            if sc.delay:
+                out[(name, "delay_s")] = [(b * self.bucket_us, total / count)
+                                          for b, (total, count) in sorted(sc.delay.items())]
+        return out
+
+    def build_summary(self):
+        """(means {(scope, metric): value}, delay_var {scope: value},
+        counts {(scope, counter): (packets, bytes)})"""
+        means, delay_var, counts = {}, {}, {}
+        for name, sc in self.scopes():
+            for metric, buckets in sc.bits.items():
+                if buckets:
+                    means[(name, metric)] = sum(buckets.values()) / (self.duration_us / 1e6)
+            if sc.n:
+                means[(name, "delay_s")] = sc.mean
+                delay_var[name] = sc.m2 / sc.n
+            if sc.counts:
+                for counter in ("generated", "delivered", "dropped"):
+                    counts[(name, counter)] = tuple(sc.counts.get(counter, (0, 0)))
+        return means, delay_var, counts

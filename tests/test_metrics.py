@@ -1,9 +1,12 @@
 import io
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from pmpsim.metrics import (MetricsCollector, RunMeta, emit_csv,
-                            read_summary_csv)
+from oracles import FanoutCollector
+from pmpsim.metrics import (MetricsCollector, RunMeta, emit_csv, flow_scope,
+                            read_summary_csv, ss_scope)
 from pmpsim.qos import MacSdu
 
 
@@ -122,3 +125,85 @@ def test_values_fixed_six_decimals():
         bucket, value = line.split(",")[-2:]
         assert len(bucket.split(".")[1]) == 6
         assert len(value.split(".")[1]) == 6
+
+
+# ------------------------------------------------ scope sums vs the reference
+
+REF_FLOWS = {1: (1, 2), 3: (2, 1), 5: (1, 3), 7: (3, 1)}  # cid -> (src, dst)
+REF_BUCKET_US, REF_DURATION_US = 1_000_000, 3_000_000
+COUNTERS = ("generated", "delivered", "dropped")
+
+# one packet's life: (cid, size, sorted (created, at the BS, delivered), fate)
+lifecycles = st.lists(st.tuples(
+    st.sampled_from(sorted(REF_FLOWS)), st.integers(1, 1500),
+    st.lists(st.integers(0, REF_DURATION_US - 1), min_size=3, max_size=3).map(sorted),
+    st.sampled_from(["dropped at src", "queued at src", "dropped at relay",
+                     "queued at relay", "delivered"])), max_size=40)
+
+
+def _exact(xs):
+    """Mean and population variance of delays in us, in seconds, correctly rounded."""
+    n, total = len(xs), sum(xs)
+    return (float(Fraction(total, n * 10**6)),
+            float(Fraction(n * sum(x * x for x in xs) - total * total, n * n * 10**12)))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(packets=lifecycles)
+def test_scope_sums_match_the_fanout_reference(packets):
+    m = MetricsCollector(REF_BUCKET_US, REF_DURATION_US, flows=REF_FLOWS)
+    ref = FanoutCollector(REF_BUCKET_US, REF_DURATION_US, sorted(REF_FLOWS), [1, 2, 3])
+    queued = {cid: (0, 0) for cid in REF_FLOWS}
+    delays = {}  # scope -> bucket -> [delay_us]
+    for i, (cid, size, (created, at_bs, delivered), fate) in enumerate(packets):
+        src, dst = REF_FLOWS[cid]
+        sdu, ref_sdu = MacSdu(i, cid, cid, size, created), MacSdu(i, cid, cid, size, created)
+        m.record_offered(sdu)
+        ref.record_offered(ref_sdu, src)
+        if fate.startswith("queued"):
+            queued[cid] = (queued[cid][0] + 1, queued[cid][1] + size)
+        if fate.endswith("src"):
+            if fate.startswith("dropped"):
+                m.record_drop(sdu, "src")
+                ref.record_drop(ref_sdu, "src", src)
+            continue
+        m.record_bs_ingress(sdu, at_bs)
+        ref.record_bs_ingress(ref_sdu, at_bs, src)
+        delays.setdefault("bs", {}).setdefault(at_bs // REF_BUCKET_US, []).append(at_bs - created)
+        if fate == "dropped at relay":
+            m.record_drop(sdu, "relay")
+            ref.record_drop(ref_sdu, "relay", src)
+        elif fate == "delivered":
+            m.record_delivery(sdu, delivered)
+            ref.record_delivery(ref_sdu, delivered, dst)
+            for scope in ("cell", flow_scope(cid), ss_scope(dst)):
+                delays.setdefault(scope, {}).setdefault(
+                    delivered // REF_BUCKET_US, []).append(delivered - created)
+
+    s = m.build_summary(queued)
+    series = {(x.scope, x.name): x.samples for x in m.build_series()}
+    ref_series = ref.build_series()
+    ref_means, ref_var, ref_counts = ref.build_summary()
+
+    def bits(d):
+        return {key: value for key, value in d.items() if key[1] != "delay_s"}
+
+    assert bits(series) == bits(ref_series)
+    assert bits(s.means) == bits(ref_means)
+    assert {(scope, c): (getattr(s, f"{c}_packets")[scope], getattr(s, f"{c}_bytes")[scope])
+            for c in COUNTERS for scope in getattr(s, f"{c}_packets")} == ref_counts
+    assert s.queued_packets_end == {"cell": sum(p for p, _ in queued.values()),
+                                    **{flow_scope(c): p for c, (p, _) in queued.items()}}
+    assert s.queued_bytes_end == {"cell": sum(b for _, b in queued.values()),
+                                  **{flow_scope(c): b for c, (_, b) in queued.items()}}
+
+    assert {scope for scope, metric in series if metric == "delay_s"} == set(delays)
+    assert set(s.delay_var) == set(ref_var) == set(delays)
+    for scope, buckets in delays.items():
+        got, want = series[(scope, "delay_s")], ref_series[(scope, "delay_s")]
+        assert got == [(b * REF_BUCKET_US, _exact(xs)[0]) for b, xs in sorted(buckets.items())]
+        assert [v for _, v in got] == pytest.approx([v for _, v in want], rel=1e-9)
+        mean, var = _exact([x for xs in buckets.values() for x in xs])
+        assert (s.means[(scope, "delay_s")], s.delay_var[scope]) == (mean, var)
+        assert mean == pytest.approx(ref_means[(scope, "delay_s")], rel=1e-9)
+        assert var == pytest.approx(ref_var[scope], rel=1e-9, abs=1e-15)
