@@ -93,7 +93,7 @@ def _merge(flows: list[dict], part: str) -> dict[int, list[int]]:
     for f in flows:
         for b, r in f[part].items():
             acc = out.get(b)
-            out[b] = r.copy() if acc is None else [x + y for x, y in zip(acc, r)]
+            out[b] = r if acc is None else [x + y for x, y in zip(acc, r)]
     return out
 
 
@@ -159,42 +159,39 @@ class MetricsCollector:
 
     # ------------------------------------------------------------ finishing
 
-    def _scopes(self) -> dict[str, tuple]:
-        """Every scope as ({metric: bit buckets}, delay buckets, counts or None).
-        A flow and the cell count end to end. A station counts the flows it
-        sources on its sending side, with the drops at its own queues, and the
-        flows it receives on its receiving side. The BS counts the uplink hop
-        as its load and input, and the deliveries as its output."""
+    def _scopes(self):
+        """Yield every scope as (name, {metric: bit buckets}, delay buckets,
+        counts or None), one at a time. A flow and the cell count end to end.
+        A station counts the flows it sources on its sending side, with the
+        drops at its own queues, and the flows it receives on its receiving
+        side. The BS counts the uplink hop as its load and input, and the
+        deliveries as its output."""
         every = list(self._flows.values())
-        out = {}
         for name, flows in [(flow_scope(cid), [f]) for cid, f in self._flows.items()] + [
                 (SCOPE_CELL, every)]:
             offered, delivered = _merge(flows, "offered"), _merge(flows, "delivered")
-            out[name] = ({LOAD: offered, THROUGHPUT: delivered}, delivered,
-                         _counts(offered, delivered, flows, ("src", "relay")))
+            yield (name, {LOAD: offered, THROUGHPUT: delivered}, delivered,
+                   _counts(offered, delivered, flows, ("src", "relay")))
         hop, delivered = _merge(every, "hop"), _merge(every, "delivered")
-        out[SCOPE_BS] = ({LOAD: hop, IFACE_RECV: hop, THROUGHPUT: delivered,
+        yield (SCOPE_BS, {LOAD: hop, IFACE_RECV: hop, THROUGHPUT: delivered,
                           IFACE_SENT: delivered}, hop, None)
         for ss_id, (sources, receives) in self._stations.items():
             offered, hop = _merge(sources, "offered"), _merge(sources, "hop")
             delivered = _merge(receives, "delivered")
-            out[ss_scope(ss_id)] = (
-                {LOAD: offered, IFACE_SENT: hop, THROUGHPUT: delivered,
-                 IFACE_RECV: delivered}, delivered, _counts(offered, delivered, sources, ("src",)))
-        return out
+            yield (ss_scope(ss_id), {LOAD: offered, IFACE_SENT: hop, THROUGHPUT: delivered,
+                                     IFACE_RECV: delivered},
+                   delivered, _counts(offered, delivered, sources, ("src",)))
 
     def build_series(self) -> list[MetricSeries]:
         n_buckets = -(-self.duration_us // self.bucket_us)
-        scopes = sorted(self._scopes().items())
         out = []
-        for name, (bits, _, _) in scopes:
+        for name, bits, delay, _ in self._scopes():
             for metric, buckets in sorted(bits.items()):
                 if buckets:
                     out.append(MetricSeries(metric, name, [
                         (b * self.bucket_us,
                          (buckets[b][0] if b in buckets else 0) * 1e6 / self.bucket_us)
                         for b in range(n_buckets)]))
-        for name, (_, delay, _) in scopes:
             if delay:
                 out.append(MetricSeries(DELAY, name, [
                     (b * self.bucket_us, sum_us / (count * 1_000_000))
@@ -207,8 +204,9 @@ class MetricsCollector:
         generated other than it delivered, dropped and still queues."""
         s = RunSummary()
         dur_s = self.duration_us / 1e6
-        scopes = self._scopes()
-        for name, (bits, delay, counts) in sorted(scopes.items()):
+        ends = {flow_scope(cid): queued[cid] for cid in self._flows}
+        ends[SCOPE_CELL] = tuple(map(sum, zip(*ends.values()))) or (0, 0)
+        for name, bits, delay, counts in self._scopes():
             for metric, buckets in sorted(bits.items()):
                 if buckets:
                     s.means[(name, metric)] = sum(r[0] for r in buckets.values()) / dur_s
@@ -220,16 +218,14 @@ class MetricsCollector:
                 for counter, (packets, nbytes) in counts.items():
                     getattr(s, f"{counter}_packets")[name] = packets
                     getattr(s, f"{counter}_bytes")[name] = nbytes
-        ends = {flow_scope(cid): queued[cid] for cid in self._flows}
-        ends[SCOPE_CELL] = tuple(map(sum, zip(*ends.values()))) or (0, 0)
-        for name, end in ends.items():
-            s.queued_packets_end[name], s.queued_bytes_end[name] = end
-            counts = scopes[name][2]
-            gen = counts["generated"]
-            acc = tuple(map(sum, zip(counts["delivered"], counts["dropped"], end)))
-            if gen != acc:
-                raise ConservationError(
-                    f"{name}: generated {gen} != delivered+dropped+queued {acc}")
+            end = ends.get(name)
+            if end is not None:
+                s.queued_packets_end[name], s.queued_bytes_end[name] = end
+                gen = counts["generated"]
+                acc = tuple(map(sum, zip(counts["delivered"], counts["dropped"], end)))
+                if gen != acc:
+                    raise ConservationError(
+                        f"{name}: generated {gen} != delivered+dropped+queued {acc}")
         s.unused_grant_bytes = self.unused_grant_bytes
         s.collisions = self.collisions
         return s
