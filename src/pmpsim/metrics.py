@@ -10,7 +10,7 @@ delay through the relay.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import IO
+from typing import IO, Iterator
 
 from .qos import MacSdu
 
@@ -159,7 +159,7 @@ class MetricsCollector:
 
     # ------------------------------------------------------------ finishing
 
-    def _scopes(self):
+    def _scopes(self) -> Iterator[tuple]:
         """Yield every scope as (name, {metric: bit buckets}, delay buckets,
         counts or None), one at a time. A flow and the cell count end to end.
         A station counts the flows it sources on its sending side, with the

@@ -128,7 +128,7 @@ def drop_scenario(place: str) -> Scenario:
 @pytest.mark.parametrize("place", ["src", "relay"])
 def test_station_counts_the_drops_at_its_own_source_queues(place):
     run = SimulationRun(drop_scenario(place))
-    drops = Counter()  # (place, source station) -> [packets, bytes]
+    drops = Counter()  # (place, source station, "packets" or "bytes") -> total
     record = run.metrics.record_drop
 
     def spy(sdu, where):
@@ -170,7 +170,6 @@ def test_identical_runs_identical_csv():
 def test_saturated_downlink_uses_full_budget():
     # shrink the downlink share until the relay becomes the bottleneck:
     # served DL bytes per frame then sit at capacity minus map overhead
-
     sc = tiny_scenario()
     sc.frame = FrameConfig(dl_fraction=Fraction(1, 40))  # DL ~1.8 Mb/s < 2 Mb/s offered
     sc.flows[0].queue_packets = 500
