@@ -16,7 +16,7 @@ from typing import Optional
 
 from .kernel import RandomSource
 from .phy import Direction, FrameConfig, GrantKind, MapIE, UlMap
-from .qos import RequestMode, SchedulingClass, requires_request
+from .qos import Connection, RequestMode, SchedulingClass
 from .sched import PacketScheduler
 
 
@@ -40,22 +40,12 @@ class ContentionState:
     backoff_remaining: Optional[int] = None  # None = not yet drawn
 
 
-@dataclass
-class _FlowEntry:
-    ss_id: int
-    cls: SchedulingClass
-    grant_interval_us: int
-    chunk_bytes: int
-    # unsolicited grant of a talking flow: one interval at the flow's rate,
-    # and at least one packet
-    talk_grant_bytes: int
-
-
 class BandwidthManager:
     """Aggregates requests and builds the per-frame uplink map.
 
-    The poll and unsolicited schedules hold the next due time per
-    connection. Outstanding request bytes are the grant scheduler's backlog.
+    `flows` is the grant table, each flow's connection by cid. The poll and
+    unsolicited schedules hold the next due time per connection.
+    Outstanding request bytes are the grant scheduler's backlog.
     """
 
     def __init__(self, cfg: FrameConfig, scheduler: PacketScheduler, *,
@@ -64,26 +54,22 @@ class BandwidthManager:
         self.scheduler = scheduler
         self.request_bytes = request_bytes
         self.min_contention_slots = min_contention_slots
-        self.flows: dict[int, _FlowEntry] = {}
+        self.flows: dict[int, Connection] = {}
         self.poll_next: dict[int, int] = {}
         self.unsolicited_next: dict[int, int] = {}
         self.unsolicited_size: dict[int, int] = {}
         self._chunk_pid = 0
 
-    def register_flow(self, cid: int, ss_id: int, cls: SchedulingClass, *,
-                      weight: int = 1, quantum: int = 1518,
-                      grant_interval_us: int = 12_500, rate_bps: int = 0,
-                      packet_bytes: int = 1500, chunk_bytes: int = 1500) -> None:
-        talk = max(-(-grant_interval_us * rate_bps // 8_000_000), packet_bytes)
-        self.flows[cid] = _FlowEntry(ss_id, cls, grant_interval_us, chunk_bytes, talk)
-        mode = requires_request(cls)
-        if mode is RequestMode.UNSOLICITED:
+    def register_flow(self, conn: Connection) -> None:
+        cid = conn.cid
+        self.flows[cid] = conn
+        if conn.mode is RequestMode.UNSOLICITED:
             self.unsolicited_next[cid] = 0
-            self.unsolicited_size[cid] = talk
+            self.unsolicited_size[cid] = conn.talk_grant_bytes
         else:
-            if mode is RequestMode.POLL:
+            if conn.mode is RequestMode.POLL:
                 self.poll_next[cid] = 0
-            self.scheduler.add_queue(cid, weight=weight, quantum=quantum)
+            self.scheduler.add_queue(cid, weight=conn.weight, quantum=conn.quantum)
 
     # ------------------------------------------------------------- requests
 
@@ -93,8 +79,8 @@ class BandwidthManager:
         The grant queue is adjusted by the difference only, so unchanged
         head-of-line request chunks keep their scheduler position.
         """
-        entry = self.flows[req.cid]
-        if requires_request(entry.cls) is RequestMode.UNSOLICITED:
+        conn = self.flows[req.cid]
+        if conn.mode is RequestMode.UNSOLICITED:
             raise ValueError(f"cid {req.cid} holds unsolicited grants, requests are invalid")
         current = self.scheduler.backlog_bytes(req.cid)
         if req.bytes_requested < current:
@@ -102,7 +88,7 @@ class BandwidthManager:
         else:
             left = req.bytes_requested - current
             while left > 0:
-                size = min(left, entry.chunk_bytes)
+                size = min(left, conn.chunk_bytes)
                 self.scheduler.enqueue(req.cid, self._chunk_pid, size)
                 self._chunk_pid += 1
                 left -= size
@@ -112,10 +98,10 @@ class BandwidthManager:
 
         A silent flow keeps only the minimal request-carrying allocation.
         """
-        entry = self.flows[cid]
-        if entry.cls is not SchedulingClass.ERTPS:
+        conn = self.flows[cid]
+        if conn.cls is not SchedulingClass.ERTPS:
             raise ValueError("only ertPS grants are adjustable")
-        self.unsolicited_size[cid] = entry.talk_grant_bytes if talking else self.request_bytes
+        self.unsolicited_size[cid] = conn.talk_grant_bytes if talking else self.request_bytes
 
     # --------------------------------------------------------------- grants
 
@@ -168,7 +154,7 @@ class BandwidthManager:
         grants += [(cid, granted[cid], GrantKind.DATA) for cid in sorted(granted)]
         grants += [(cid, self.request_bytes, GrantKind.POLL) for cid in polls]
         for cid, nbytes, kind in grants:
-            ss_id = self.flows[cid].ss_id
+            ss_id = self.flows[cid].src
             by_ss.setdefault(ss_id, []).append(MapIE(cid, ss_id, 0, nbytes, kind))
         for ss_id in sorted(by_ss):
             for ie in by_ss[ss_id]:
@@ -186,13 +172,15 @@ class BandwidthManager:
                        rng: RandomSource) -> tuple[list[tuple[int, BwRequest]], list[int]]:
         """One frame of slotted contention.
 
-        Returns (delivered, collided): delivered pairs each request with the
-        slot it succeeded in; collided lists the cids whose windows doubled.
+        `states` must be in ss_id order: backoffs are drawn from `rng` in that
+        order, so it fixes every draw. Returns (delivered, collided):
+        delivered pairs each request with the slot it succeeded in; collided
+        lists the cids whose windows doubled.
         """
         if contention_slots < 1:
             return [], []
         transmitters: dict[int, list[ContentionState]] = {}
-        for st in sorted(states, key=lambda s: s.ss_id):
+        for st in states:
             if st.pending is None:
                 continue
             if st.backoff_remaining is None:

@@ -98,12 +98,13 @@ def _check_out(path: str) -> None:
         raise ScenarioError(f"--out: no directory {folder}")
 
 
-def _write(path: str, write) -> None:
+def _write(flag: str, path, write) -> None:
+    """Write `path` with `write(fh)`; a failure is a bad `flag` value."""
     try:
         with open(path, "w") as fh:
             write(fh)
     except OSError as e:
-        raise ScenarioError(f"--out: cannot write {path}: {e.strerror}")
+        raise ScenarioError(f"{flag}: cannot write {path}: {e.strerror}")
 
 
 def cmd_run(args) -> int:
@@ -114,7 +115,7 @@ def cmd_run(args) -> int:
     if args.out == "-":
         result.write_csv(sys.stdout)
     else:
-        _write(args.out, result.write_csv)
+        _write("--out", args.out, result.write_csv)
         print(f"wrote {args.out} ({result.dispatched} events dispatched)")
     return 0
 
@@ -153,18 +154,19 @@ def cmd_compare(args) -> int:
             sc.seed = seed
             result = run_scenario(sc)
             path = out_dir / f"run_{sched}_seed{seed}.csv"
-            with open(path, "w") as fh:
-                result.write_csv(fh)
+            _write("--out-dir", path, result.write_csv)
             # verdicts come from the public CSV format, not from memory
             summaries[(sched, seed)] = read_summary_csv(str(path))
 
     report = build_comparison(base.name, schedulers, seeds, summaries)
-    grid = out_dir / "comparison.csv"
-    with open(grid, "w") as fh:
+
+    def write_grid(fh) -> None:
         fh.write("scheduler,seed,scope,metric,value\n")
         for (sched, seed, scope, metric), value in sorted(report.values.items()):
             fh.write(f"{sched},{seed},{scope},{metric},{value:.6f}\n")
-    (out_dir / "report.txt").write_text(report.render() + "\n")
+
+    _write("--out-dir", out_dir / "comparison.csv", write_grid)
+    _write("--out-dir", out_dir / "report.txt", lambda fh: fh.write(report.render() + "\n"))
     print(report.render())
     return 0
 
@@ -182,7 +184,7 @@ def cmd_print_scenario(args) -> int:
     if args.out == "-":
         sys.stdout.write(text)
     else:
-        _write(args.out, lambda fh: fh.write(text))
+        _write("--out", args.out, lambda fh: fh.write(text))
     return 0
 
 

@@ -3,8 +3,9 @@
 A run owns its entire world: kernel, stations, connections, schedulers,
 generators, and metrics. Per frame: the BS serves the downlink and builds
 the uplink map at frame start; at uplink-subframe start every SS consumes
-its grants, answers polls, and the contention region resolves. Uplink
-arrivals relay through the BS onto the downlink connection of the flow.
+its grants, answers polls, and the contention region resolves. Each flow
+has one connection, which its source station, the BS relay and the grant
+table share: an uplink arrival joins the BS relay queue of the same cid.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from .bwreq import BandwidthManager, ContentionState
 from .kernel import EventKind, Simulator
 from .metrics import (ConservationError, MetricSeries, MetricsCollector, RunMeta,
                       RunSummary, emit_csv)
-from .phy import Direction, UlMap
+from .phy import UlMap
 from .qos import Connection, MacSdu
 from .sched import make_scheduler
 from .scenario import Scenario
@@ -60,38 +61,32 @@ class SimulationRun:
             self.sss[ss_id] = SubscriberStation(
                 ss_id, make_scheduler(scenario.scheduler_ss), contention)
 
-        self.ul_conns: dict[int, Connection] = {}
         self._sources = []
         for i, spec in enumerate(scenario.flows):
-            ul_cid, dl_cid = 2 * i + 1, 2 * i + 2
-            quantum = spec.weight * scenario.base_quantum_bytes
-            ul_conn = Connection(ul_cid, spec.cls, src=spec.src, dst=spec.dst,
-                                 queue_cap_packets=spec.queue_packets)
-            # the relay hop carries the same flow on to the destination
-            dl_conn = Connection(dl_cid, spec.cls, src=0, dst=spec.dst,
-                                 queue_cap_packets=spec.queue_packets)
-            self.ul_conns[ul_cid] = ul_conn
-            self.sss[spec.src].add_uplink(ul_conn, spec.weight, quantum)
-            self.bs.add_downlink(dl_conn, ul_cid, spec.weight, quantum)
-            self.bw.register_flow(
-                ul_cid, spec.src, spec.cls, weight=spec.weight, quantum=quantum,
-                grant_interval_us=spec.grant_interval_us, rate_bps=spec.rate_bps,
-                packet_bytes=spec.packet_bytes, chunk_bytes=spec.mtu_bytes)
-            self._sources.append(make_source(spec, ul_cid, self.sim.rng))
+            # odd cids: flow i is the CSV's flow_XXXXX number 2i+1
+            conn = Connection(
+                2 * i + 1, spec.cls, spec.src, spec.dst, queue_cap_packets=spec.queue_packets,
+                weight=spec.weight, quantum=spec.weight * scenario.base_quantum_bytes,
+                grant_interval_us=spec.grant_interval_us, chunk_bytes=spec.mtu_bytes,
+                rate_bps=spec.rate_bps, packet_bytes=spec.packet_bytes)
+            self.sss[spec.src].add_uplink(conn)
+            self.bs.add_downlink(conn)
+            self.bw.register_flow(conn)
+            self._sources.append(make_source(spec, conn.cid, self.sim.rng))
 
         self._ss_order = [self.sss[s] for s in sorted(self.sss)]
         self.metrics = MetricsCollector(
             scenario.bucket_us, scenario.duration_us,
-            flows={cid: (c.src, c.dst) for cid, c in self.ul_conns.items()})
+            flows={cid: (c.src, c.dst) for cid, c in self.bw.flows.items()})
         self._sdu_counter = 0
         self._current_map: Optional[UlMap] = None
 
     # -------------------------------------------------------------- hooks
 
     def ingest(self, cid: int, size_bytes: int) -> None:
-        """A generator emitted one SDU onto its uplink connection."""
-        conn = self.ul_conns[cid]
-        sdu = MacSdu(self._sdu_counter, cid, cid, size_bytes, self.sim.now)
+        """A generator emitted one SDU onto its flow's connection."""
+        conn = self.bw.flows[cid]
+        sdu = MacSdu(self._sdu_counter, cid, size_bytes, self.sim.now)
         self._sdu_counter += 1
         self.metrics.record_offered(sdu)
         ss = self.sss[conn.src]
@@ -101,18 +96,9 @@ class SimulationRun:
         ss.local_sched.enqueue(cid, sdu.id, size_bytes,
                                arrival=self.sim.now, payload=sdu)
 
-    def uplink_arrival(self, sdu: MacSdu, n: int, start_us: int, end_us: int) -> None:
-        if self.audit is not None:
-            self.audit.append(TransmissionRecord(
-                n, Direction.UPLINK, sdu.cid, sdu.size_bytes, start_us, end_us))
+    def uplink_arrival(self, sdu: MacSdu, end_us: int) -> None:
         self.metrics.record_bs_ingress(sdu, end_us)
-        self.bs.receive_uplink(self, sdu, n, end_us)
-
-    def deliver_downlink(self, sdu: MacSdu, n: int, start_us: int, end_us: int) -> None:
-        if self.audit is not None:
-            self.audit.append(TransmissionRecord(
-                n, Direction.DOWNLINK, sdu.cid, sdu.size_bytes, start_us, end_us))
-        self.metrics.record_delivery(sdu, end_us)
+        self.bs.receive_uplink(self, sdu, end_us)
 
     # -------------------------------------------------------------- frames
 
@@ -151,10 +137,10 @@ class SimulationRun:
         # (packets, bytes) each flow still holds, at its source and at the relay
         queued = {}
         dl = self.bs.dl_sched
-        for ul_cid, conn in self.ul_conns.items():
-            local, dl_cid = self.sss[conn.src].local_sched, self.bs.relay_map[ul_cid]
-            queued[ul_cid] = (local.pending(ul_cid) + dl.pending(dl_cid),
-                              local.backlog_bytes(ul_cid) + dl.backlog_bytes(dl_cid))
+        for cid, conn in self.bw.flows.items():
+            local = self.sss[conn.src].local_sched
+            queued[cid] = (local.pending(cid) + dl.pending(cid),
+                           local.backlog_bytes(cid) + dl.backlog_bytes(cid))
         summary = self.metrics.build_summary(queued)
         meta = RunMeta(self.scenario.name, self.scenario.scheduler_bs,
                        self.scenario.scheduler_ss, self.scenario.seed)

@@ -130,24 +130,24 @@ class MetricsCollector:
     # ------------------------------------------------------------ recording
 
     def record_offered(self, sdu: MacSdu) -> None:
-        _add(self._flows[sdu.flow_cid]["offered"], sdu.created_at // self.bucket_us,
+        _add(self._flows[sdu.cid]["offered"], sdu.created_at // self.bucket_us,
              sdu.size_bytes * 8, 0)
 
     def record_bs_ingress(self, sdu: MacSdu, t: int) -> None:
         """Uplink SDU handed up at the BS: the uplink hop."""
-        _add(self._flows[sdu.flow_cid]["hop"], t // self.bucket_us,
+        _add(self._flows[sdu.cid]["hop"], t // self.bucket_us,
              sdu.size_bytes * 8, t - sdu.created_at)
 
     def record_delivery(self, sdu: MacSdu, t: int) -> None:
         if sdu.delivered_at is not None:
             raise RuntimeError(f"double delivery of sdu {sdu.id}")
         sdu.delivered_at = t
-        _add(self._flows[sdu.flow_cid]["delivered"], t // self.bucket_us,
+        _add(self._flows[sdu.cid]["delivered"], t // self.bucket_us,
              sdu.size_bytes * 8, t - sdu.created_at)
 
     def record_drop(self, sdu: MacSdu, where: str) -> None:
         """`where` is "src" (the source station's queue) or "relay" (the BS's)."""
-        d = self._flows[sdu.flow_cid][where]
+        d = self._flows[sdu.cid][where]
         d[0] += 1
         d[1] += sdu.size_bytes
 

@@ -7,7 +7,7 @@ in how they obtain uplink bandwidth.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass, field
 from enum import Enum
 from typing import Optional
 
@@ -43,8 +43,7 @@ def requires_request(cls: SchedulingClass) -> RequestMode:
 @dataclass
 class MacSdu:
     id: int
-    cid: int            # connection currently carrying the SDU
-    flow_cid: int       # originating uplink connection, stable across the relay
+    cid: int  # the flow's connection, on both hops
     size_bytes: int
     created_at: int
     delivered_at: Optional[int] = None
@@ -52,13 +51,29 @@ class MacSdu:
 
 @dataclass
 class Connection:
+    """One flow's MAC record, shared by its source station, the BS relay and
+    the grant table: each keys its queue for the flow by `cid`."""
+
     cid: int
     cls: SchedulingClass
     src: int  # station id, 0 = BS
     dst: int
-    queue_cap_packets: int = 100
+    queue_cap_packets: int = 100  # at the source station and at the relay, each
+    weight: int = 1
+    quantum: int = 1518
+    grant_interval_us: int = 12_500
+    chunk_bytes: int = 1500  # MTU: a bandwidth request is queued in chunks of this size
+    rate_bps: InitVar[int] = 0
+    packet_bytes: InitVar[int] = 1500
+    mode: RequestMode = field(init=False)
+    # unsolicited grant of a talking flow: one interval at the flow's rate,
+    # and at least one packet
+    talk_grant_bytes: int = field(init=False)
 
-    def __post_init__(self):
+    def __post_init__(self, rate_bps: int, packet_bytes: int):
         if not (0 <= self.cid < 2**16):
             raise ValueError("cid must fit in 16 bits")
+        self.mode = requires_request(self.cls)
+        self.talk_grant_bytes = max(-(-self.grant_interval_us * rate_bps // 8_000_000),
+                                    packet_bytes)
 

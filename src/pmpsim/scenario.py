@@ -26,7 +26,7 @@ CBR_KINDS = ("voice", "voip_silence", "ftp")  # constant-rate kinds: rate_bps, p
 
 # every integer key; larger values would overflow the float draws of the sources
 INT_MAX = 2**53
-# each flow takes two connection ids, and a cid has 16 bits
+# flow i has cid 2i+1, its flow_XXXXX number, and a cid has 16 bits
 MAX_FLOWS = 2**15 - 1
 # libyaml's parser where PyYAML is built with it; both feed the same Python
 # SafeConstructor, so the parsed values are identical

@@ -9,11 +9,12 @@ and downlink scheduling.
 
 from __future__ import annotations
 
+import bisect
 from dataclasses import dataclass
 
 from .bwreq import BwRequest
 from .phy import Direction, GrantKind, IllegalMapError, MapIE, UlMap, validate_map
-from .qos import Connection, RequestMode, SchedulingClass, requires_request
+from .qos import Connection, RequestMode, SchedulingClass
 from .sched import PacketScheduler
 
 
@@ -27,16 +28,31 @@ class TransmissionRecord:
     end_us: int
 
 
+def transmit(run, sched: PacketScheduler, n: int, direction: Direction, subframe_start: int,
+             offset: int, budget: int, arrive) -> int:
+    """Send the packets `sched.select(budget)` picks back to back from byte
+    `offset` of the subframe that starts at `subframe_start`; `arrive(sdu, t)`
+    takes each one when its last byte is sent. Returns the bytes sent."""
+    cfg = run.cfg
+    cursor = offset
+    for dec in sched.select(budget):
+        for sdu in dec.payloads:
+            start_t = subframe_start + cfg.tx_time_us(cursor)
+            cursor += sdu.size_bytes
+            end_t = subframe_start + cfg.tx_time_us(cursor)
+            if run.audit is not None:
+                run.audit.append(TransmissionRecord(
+                    n, direction, sdu.cid, sdu.size_bytes, start_t, end_t))
+            arrive(sdu, end_t)
+    return cursor - offset
+
+
 class BaseStation:
     def __init__(self, dl_scheduler: PacketScheduler):
-        self.dl_sched = dl_scheduler
-        self.conns: dict[int, Connection] = {}  # downlink connections by cid
-        self.relay_map: dict[int, int] = {}     # uplink cid -> downlink cid
+        self.dl_sched = dl_scheduler  # the relay queues, one per flow, keyed by its cid
 
-    def add_downlink(self, conn: Connection, ul_cid: int, weight: int, quantum: int) -> None:
-        self.conns[conn.cid] = conn
-        self.relay_map[ul_cid] = conn.cid
-        self.dl_sched.add_queue(conn.cid, weight=weight, quantum=quantum)
+    def add_downlink(self, conn: Connection) -> None:
+        self.dl_sched.add_queue(conn.cid, weight=conn.weight, quantum=conn.quantum)
 
     def frame_tick(self, run, n: int) -> UlMap:
         """Per-frame BS work: serve the downlink, then build the uplink map."""
@@ -45,28 +61,20 @@ class BaseStation:
         dl_cap = cfg.subframe_capacity_bytes(Direction.DOWNLINK)
         map_bytes = -(-dl_cap * run.scenario.map_overhead_fraction.numerator
                       // run.scenario.map_overhead_fraction.denominator)
-        cursor = map_bytes
-        for dec in self.dl_sched.select(dl_cap - map_bytes):
-            for sdu in dec.payloads:
-                start_t = dl_start + cfg.tx_time_us(cursor)
-                cursor += sdu.size_bytes
-                end_t = dl_start + cfg.tx_time_us(cursor)
-                run.deliver_downlink(sdu, n, start_t, end_t)
+        transmit(run, self.dl_sched, n, Direction.DOWNLINK, dl_start, map_bytes,
+                 dl_cap - map_bytes, run.metrics.record_delivery)
         ul_map = run.bw.build_ul_map(n, now=run.sim.now)
         violation = validate_map(ul_map, cfg)
         if violation is not None:
             raise IllegalMapError(f"frame {n}: illegal uplink map ({violation})")
         return ul_map
 
-    def receive_uplink(self, run, sdu, n: int, arrival_us: int) -> None:
-        """Hand an uplink SDU to the relay; it joins the downlink queue."""
-        dl_cid = self.relay_map[sdu.cid]
-        conn = self.conns[dl_cid]
-        if self.dl_sched.pending(dl_cid) >= conn.queue_cap_packets:
+    def receive_uplink(self, run, sdu, arrival_us: int) -> None:
+        """Hand an uplink SDU to the relay; it joins its flow's downlink queue."""
+        if self.dl_sched.pending(sdu.cid) >= run.bw.flows[sdu.cid].queue_cap_packets:
             run.metrics.record_drop(sdu, "relay")
             return
-        sdu.cid = dl_cid
-        self.dl_sched.enqueue(dl_cid, sdu.id, sdu.size_bytes,
+        self.dl_sched.enqueue(sdu.cid, sdu.id, sdu.size_bytes,
                               arrival=arrival_us, payload=sdu)
 
 
@@ -75,11 +83,11 @@ class SubscriberStation:
         self.ss_id = ss_id
         self.local_sched = local_scheduler
         self.contention = contention_state
-        self.conns: dict[int, Connection] = {}  # uplink connections by cid
+        self.conns: list[Connection] = []  # the flows it sources, in cid order
 
-    def add_uplink(self, conn: Connection, weight: int, quantum: int) -> None:
-        self.conns[conn.cid] = conn
-        self.local_sched.add_queue(conn.cid, weight=weight, quantum=quantum)
+    def add_uplink(self, conn: Connection) -> None:
+        bisect.insort(self.conns, conn, key=lambda c: c.cid)
+        self.local_sched.add_queue(conn.cid, weight=conn.weight, quantum=conn.quantum)
 
     def _merged_windows(self, ies: list[MapIE]) -> list[tuple[int, int]]:
         """Coalesce this station's contiguous data grants into (offset, length)
@@ -94,23 +102,15 @@ class SubscriberStation:
         return windows
 
     def on_map(self, run, ul_map: UlMap, n: int, ul_start: int) -> None:
-        cfg = run.cfg
         mine = [ie for ie in ul_map.ies if ie.ss_id == self.ss_id]
         my_data = [ie for ie in mine if ie.kind is GrantKind.DATA]
         my_polls = [ie for ie in mine if ie.kind is GrantKind.POLL]
 
         sent_data = False
         for offset, length in self._merged_windows(my_data):
-            cursor = offset
-            served = 0
-            for dec in self.local_sched.select(length):
-                for sdu in dec.payloads:
-                    start_t = ul_start + cfg.tx_time_us(cursor)
-                    cursor += sdu.size_bytes
-                    end_t = ul_start + cfg.tx_time_us(cursor)
-                    served += sdu.size_bytes
-                    sent_data = True
-                    run.uplink_arrival(sdu, n, start_t, end_t)
+            served = transmit(run, self.local_sched, n, Direction.UPLINK, ul_start, offset,
+                              length, run.uplink_arrival)
+            sent_data = sent_data or served > 0
             run.metrics.record_unused_grant(length - served)
 
         polled = set()
@@ -124,17 +124,16 @@ class SubscriberStation:
                 run.metrics.record_unused_grant(ie.grant_bytes)
 
         piggyback_ok = sent_data and not run.scenario.strict_paper
-        for cid in sorted(self.conns):
-            cls = self.conns[cid].cls
-            backlog = self.local_sched.backlog_bytes(cid)
-            if cls is SchedulingClass.ERTPS:
+        for conn in self.conns:
+            backlog = self.local_sched.backlog_bytes(conn.cid)
+            if conn.cls is SchedulingClass.ERTPS:
                 # grant-size adjustment piggybacked on this frame's allocation
-                run.bw.set_ertps_talking(cid, backlog > 0)
+                run.bw.set_ertps_talking(conn.cid, backlog > 0)
                 continue
-            if requires_request(cls) is RequestMode.UNSOLICITED or backlog == 0:
+            if conn.mode is RequestMode.UNSOLICITED or backlog == 0:
                 continue
-            if piggyback_ok and cid not in polled:
-                run.bw.on_request(BwRequest(cid, backlog))
+            if piggyback_ok and conn.cid not in polled:
+                run.bw.on_request(BwRequest(conn.cid, backlog))
 
         self._maybe_contend(run, piggyback_ok, polled)
 
@@ -144,12 +143,12 @@ class SubscriberStation:
             return
         best_cid = None
         best_backlog = 0
-        for cid in sorted(self.conns):
-            if requires_request(self.conns[cid].cls) is RequestMode.UNSOLICITED or cid in polled:
+        for conn in self.conns:
+            if conn.mode is RequestMode.UNSOLICITED or conn.cid in polled:
                 continue
-            backlog = self.local_sched.backlog_bytes(cid)
+            backlog = self.local_sched.backlog_bytes(conn.cid)
             if backlog > best_backlog:
-                best_cid, best_backlog = cid, backlog
+                best_cid, best_backlog = conn.cid, backlog
         if best_cid is None:
             return
         if self.contention.pending is not None:

@@ -308,7 +308,7 @@ class FanoutCollector:
 
     def record_offered(self, sdu, src_ss):
         b = sdu.created_at // self.bucket_us
-        for sc in (self.cell, self.flows[sdu.flow_cid], self.sss[src_ss]):
+        for sc in (self.cell, self.flows[sdu.cid], self.sss[src_ss]):
             sc.add_bits("load_bps", b, sdu.size_bytes * 8)
             sc.count("generated", sdu.size_bytes)
 
@@ -322,7 +322,7 @@ class FanoutCollector:
     def record_delivery(self, sdu, t, dst_ss):
         b = t // self.bucket_us
         dst = self.sss[dst_ss]
-        for sc in (self.cell, self.flows[sdu.flow_cid], dst):
+        for sc in (self.cell, self.flows[sdu.cid], dst):
             sc.add_bits("throughput_bps", b, sdu.size_bytes * 8)
             sc.add_delay(b, (t - sdu.created_at) / 1e6)
             sc.count("delivered", sdu.size_bytes)
@@ -331,7 +331,7 @@ class FanoutCollector:
         dst.add_bits("iface_recv_bps", b, sdu.size_bytes * 8)
 
     def record_drop(self, sdu, where, src_ss):
-        scopes = [self.cell, self.flows[sdu.flow_cid]]
+        scopes = [self.cell, self.flows[sdu.cid]]
         if where == "src":
             scopes.append(self.sss[src_ss])
         for sc in scopes:

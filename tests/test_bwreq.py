@@ -6,7 +6,7 @@ from pmpsim.bwreq import (BandwidthManager, BwRequest, ContentionState,
                           OversubscribedUgsError)
 from pmpsim.kernel import RandomSource
 from pmpsim.phy import Direction, FrameConfig, GrantKind, PhyProfile, validate_map
-from pmpsim.qos import SchedulingClass
+from pmpsim.qos import Connection, SchedulingClass
 from pmpsim.sched import WfqScheduler, make_scheduler
 
 
@@ -15,11 +15,16 @@ def make_manager(cfg=None, scheduler=None):
     return BandwidthManager(cfg, scheduler or WfqScheduler())
 
 
+def register(bw, cid, ss_id, cls, **fields):
+    """Register a flow from station `ss_id` to the BS in the grant table."""
+    bw.register_flow(Connection(cid, cls, ss_id, 0, **fields))
+
+
 def test_ugs_grant_size_from_rate():
     # 64 kb/s over a 12.5 ms interval is exactly 100 bytes, every frame
     bw = make_manager()
-    bw.register_flow(1, 1, SchedulingClass.UGS, grant_interval_us=12_500,
-                     rate_bps=64_000, packet_bytes=100)
+    register(bw, 1, 1, SchedulingClass.UGS, grant_interval_us=12_500,
+             rate_bps=64_000, packet_bytes=100)
     for frame in range(5):
         grants = bw.issue_unsolicited(frame * 12_500)
         assert grants == [(1, 100)]
@@ -27,14 +32,14 @@ def test_ugs_grant_size_from_rate():
 
 def test_no_unsolicited_flows_empty():
     bw = make_manager()
-    bw.register_flow(1, 1, SchedulingClass.BE)
+    register(bw, 1, 1, SchedulingClass.BE)
     assert bw.issue_unsolicited(0) == []
 
 
 def test_ertps_shrinks_to_request_carrying_size():
     bw = make_manager()
-    bw.register_flow(1, 1, SchedulingClass.ERTPS, grant_interval_us=12_500,
-                     rate_bps=64_000, packet_bytes=100)
+    register(bw, 1, 1, SchedulingClass.ERTPS, grant_interval_us=12_500,
+             rate_bps=64_000, packet_bytes=100)
     assert bw.issue_unsolicited(0) == [(1, 100)]
     bw.set_ertps_talking(1, False)
     assert bw.issue_unsolicited(12_500) == [(1, 8)]
@@ -46,8 +51,8 @@ def test_ertps_talking_grant_holds_one_packet():
     # 64 kb/s over 12.5 ms is 100 B, less than one 200 B packet: a talking
     # flow still gets a whole packet per interval, as at registration
     bw = make_manager()
-    bw.register_flow(1, 1, SchedulingClass.ERTPS, grant_interval_us=12_500,
-                     rate_bps=64_000, packet_bytes=200)
+    register(bw, 1, 1, SchedulingClass.ERTPS, grant_interval_us=12_500,
+             rate_bps=64_000, packet_bytes=200)
     assert bw.issue_unsolicited(0) == [(1, 200)]
     bw.set_ertps_talking(1, False)
     assert bw.issue_unsolicited(12_500) == [(1, 8)]
@@ -57,15 +62,15 @@ def test_ertps_talking_grant_holds_one_packet():
 
 def test_requests_rejected_for_unsolicited_flows():
     bw = make_manager()
-    bw.register_flow(1, 1, SchedulingClass.UGS, rate_bps=64_000, packet_bytes=100)
+    register(bw, 1, 1, SchedulingClass.UGS, rate_bps=64_000, packet_bytes=100)
     with pytest.raises(ValueError):
         bw.on_request(BwRequest(1, 1000))
 
 
 def test_poll_intervals():
     bw = make_manager()
-    bw.register_flow(1, 1, SchedulingClass.RTPS, grant_interval_us=12_500)
-    bw.register_flow(2, 2, SchedulingClass.NRTPS, grant_interval_us=1_000_000)
+    register(bw, 1, 1, SchedulingClass.RTPS, grant_interval_us=12_500)
+    register(bw, 2, 2, SchedulingClass.NRTPS, grant_interval_us=1_000_000)
     rtps_polls = 0
     nrtps_polls = 0
     for frame in range(160):
@@ -88,9 +93,9 @@ def test_build_map_idle_network_contention_only():
 
 def test_build_map_single_ugs_constant_every_frame():
     bw = make_manager()
-    bw.register_flow(1, 1, SchedulingClass.UGS, grant_interval_us=12_500,
-                     rate_bps=64_000, packet_bytes=100)
-    bw.register_flow(2, 2, SchedulingClass.RTPS, grant_interval_us=12_500)
+    register(bw, 1, 1, SchedulingClass.UGS, grant_interval_us=12_500,
+             rate_bps=64_000, packet_bytes=100)
+    register(bw, 2, 2, SchedulingClass.RTPS, grant_interval_us=12_500)
     shapes = set()
     for frame in range(20):
         m = bw.build_ul_map(frame, frame * 12_500)
@@ -102,8 +107,8 @@ def test_build_map_single_ugs_constant_every_frame():
 
 def test_build_map_equal_weight_split_when_budget_binds():
     bw = make_manager()
-    bw.register_flow(1, 1, SchedulingClass.BE, weight=1, chunk_bytes=1500)
-    bw.register_flow(2, 2, SchedulingClass.BE, weight=1, chunk_bytes=1500)
+    register(bw, 1, 1, SchedulingClass.BE, weight=1, chunk_bytes=1500)
+    register(bw, 2, 2, SchedulingClass.BE, weight=1, chunk_bytes=1500)
     bw.on_request(BwRequest(1, 40_000))
     bw.on_request(BwRequest(2, 40_000))
     m = bw.build_ul_map(0, 0)
@@ -117,7 +122,7 @@ def test_build_map_equal_weight_split_when_budget_binds():
 
 def test_outstanding_tracks_grants():
     bw = make_manager()
-    bw.register_flow(1, 1, SchedulingClass.BE, chunk_bytes=1500)
+    register(bw, 1, 1, SchedulingClass.BE, chunk_bytes=1500)
     bw.on_request(BwRequest(1, 10_000))
     assert bw.scheduler.backlog_bytes(1) == 10_000
     m = bw.build_ul_map(0, 0)
@@ -129,7 +134,7 @@ def test_outstanding_tracks_grants():
 def test_request_conservation_over_many_frames():
     # granted bytes never exceed requested bytes
     bw = make_manager()
-    bw.register_flow(1, 1, SchedulingClass.BE, chunk_bytes=1500)
+    register(bw, 1, 1, SchedulingClass.BE, chunk_bytes=1500)
     requested = granted = 0
     import random
     r = random.Random(5)
@@ -150,8 +155,8 @@ def test_oversubscribed_ugs_aborts():
     cfg = FrameConfig(frame_duration_us=12_500, ttg_us=6_000, rtg_us=5_000,
                       dl_fraction=Fraction(1, 2))
     bw = make_manager(cfg)
-    bw.register_flow(1, 1, SchedulingClass.UGS, grant_interval_us=12_500,
-                     rate_bps=200_000_000, packet_bytes=100)
+    register(bw, 1, 1, SchedulingClass.UGS, grant_interval_us=12_500,
+             rate_bps=200_000_000, packet_bytes=100)
     with pytest.raises(OversubscribedUgsError):
         bw.build_ul_map(0, 0)
 

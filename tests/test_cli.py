@@ -155,6 +155,15 @@ def _flow(kind, **fields):
     return _run(flows=[{"kind": kind, "src": 1, "dst": 2, **fields}])
 
 
+def _compare_into(blocked):
+    """compare whose --out-dir holds a directory named `blocked`."""
+    def argv(tmp_path):
+        (tmp_path / "cmp" / blocked).mkdir(parents=True)
+        return ["compare", "--scenario", tiny_file(tmp_path), "--seeds", "1",
+                "--out-dir", str(tmp_path / "cmp")]
+    return argv
+
+
 def _binary_file(tmp_path):
     path = tmp_path / "binary.yaml"
     path.write_bytes(b"\xff\xfe\x00 not text")
@@ -199,6 +208,9 @@ def _binary_file(tmp_path):
                        "--out-dir", str(tmp_path / "cmp")], "--seeds: 1 is given twice"),
     (lambda tmp_path: ["compare", "--scenario", tiny_file(tmp_path), "--seeds", "1",
                        "--out-dir", tiny_file(tmp_path)], "--out-dir: cannot create"),
+    (_compare_into("run_wfq_seed1.csv"), "--out-dir: cannot write "),
+    (_compare_into("comparison.csv"), "comparison.csv: Is a directory"),
+    (_compare_into("report.txt"), "report.txt: Is a directory"),
 ], ids=["rate-zero", "rate-negative", "alpha-text", "alpha-one", "sigma-negative",
         "frame-not-mapping", "sigma-huge", "rate-subnormal", "page-bytes-huge",
         "voice-period-zero", "stop-before-start", "page-mean-over-max", "coding-rate-zero",
@@ -206,7 +218,8 @@ def _binary_file(tmp_path):
         "name-newline", "too-many-flows", "scenario-is-directory", "scenario-not-text",
         "seed-not-integer", "run-out-no-directory", "run-out-is-directory",
         "print-out-no-directory", "compare-scheduler-twice", "compare-seed-twice",
-        "compare-out-dir-is-file"])
+        "compare-out-dir-is-file", "compare-run-csv-is-directory",
+        "compare-grid-is-directory", "compare-report-is-directory"])
 def test_bad_scenario_exit_1_with_path(tmp_path, capsys, argv, path):
     assert run_cli(*argv(tmp_path)) == 1
     err = capsys.readouterr().err

@@ -4,10 +4,11 @@ from fractions import Fraction
 
 import pytest
 
-from pmpsim import load_scenario
+from pmpsim import load_scenario, qos
 from pmpsim.engine import SimulationRun, run_scenario
 from pmpsim.metrics import flow_scope, ss_scope
 from pmpsim.phy import Direction, FrameConfig, GrantKind
+from pmpsim.qos import RequestMode
 from pmpsim.scenario import Scenario, FlowSpec
 from pmpsim.traffic import build_paper_scenario
 
@@ -40,6 +41,32 @@ def test_single_flow_delivered_end_to_end():
                                           + s.queued_packets_end[scope])
     # end-to-end delay strictly exceeds the uplink hop delay
     assert s.means[("cell", "delay_s")] > s.means[("bs", "delay_s")] > 0
+
+
+def test_each_flow_has_one_connection_for_all_its_queues(monkeypatch):
+    calls = []
+    requires_request = qos.requires_request
+
+    def counted(cls):
+        calls.append(cls)
+        return requires_request(cls)
+
+    monkeypatch.setattr(qos, "requires_request", counted)
+    sc = build_paper_scenario()
+    sc.duration_us = 1_000_000
+    run = SimulationRun(sc)
+    run.run()
+    conns = list(run.bw.flows.values())
+    assert [c.cid for c in conns] == [2 * i + 1 for i in range(len(sc.flows))]
+    assert len(calls) == len(conns)  # once per flow, not per frame
+    assert sorted(run.bs.dl_sched.queues) == [c.cid for c in conns]
+    for conn in conns:
+        ss = run.sss[conn.src]
+        assert any(c is conn for c in ss.conns)
+        assert conn.cid in ss.local_sched.queues
+        assert (conn.cid in run.bw.scheduler.queues) is (conn.mode is not RequestMode.UNSOLICITED)
+    for ss in run.sss.values():
+        assert [c.cid for c in ss.conns] == sorted(c.cid for c in ss.conns)
 
 
 def test_transmissions_respect_subframes_and_gaps():
@@ -98,19 +125,6 @@ def test_idle_network_contention_only_maps():
     assert not res.audit
 
 
-def test_relay_queue_overflow_drops_counted():
-    # tiny relay queue forces downlink drops while conservation still holds
-    sc = tiny_scenario()
-    sc.flows[0].queue_packets = 2
-    sc.validate()
-    res = run_scenario(sc)
-    s = res.summary
-    scope = flow_scope(1)
-    assert s.generated_packets[scope] == (s.delivered_packets.get(scope, 0)
-                                          + s.dropped_packets.get(scope, 0)
-                                          + s.queued_packets_end[scope])
-
-
 def drop_scenario(place: str) -> Scenario:
     """A run whose drops are all at `place`, "src" or "relay"."""
     if place == "src":  # paper-pmp drops at the source queues of SS1 and SS3
@@ -125,19 +139,39 @@ def drop_scenario(place: str) -> Scenario:
     return sc
 
 
-@pytest.mark.parametrize("place", ["src", "relay"])
-def test_station_counts_the_drops_at_its_own_source_queues(place):
-    run = SimulationRun(drop_scenario(place))
-    drops = Counter()  # (place, source station, "packets" or "bytes") -> total
+def count_drops(run: SimulationRun) -> Counter:
+    """Count the run's drops by (place, source station, "packets" or "bytes")."""
+    drops = Counter()
     record = run.metrics.record_drop
 
     def spy(sdu, where):
-        key = (where, run.ul_conns[sdu.flow_cid].src)
+        key = (where, run.bw.flows[sdu.cid].src)
         drops[key + ("packets",)] += 1
         drops[key + ("bytes",)] += sdu.size_bytes
         record(sdu, where)
 
     run.metrics.record_drop = spy
+    return drops
+
+
+def test_relay_queue_overflow_drops_counted():
+    # a full relay queue drops while conservation still holds
+    run = SimulationRun(drop_scenario("relay"))
+    drops = count_drops(run)
+    s = run.run().summary
+    scope = flow_scope(1)
+    assert drops[("relay", 1, "packets")] > 0
+    assert drops[("src", 1, "packets")] == 0
+    assert s.dropped_packets[scope] == drops[("relay", 1, "packets")]
+    assert s.generated_packets[scope] == (s.delivered_packets.get(scope, 0)
+                                          + s.dropped_packets.get(scope, 0)
+                                          + s.queued_packets_end[scope])
+
+
+@pytest.mark.parametrize("place", ["src", "relay"])
+def test_station_counts_the_drops_at_its_own_source_queues(place):
+    run = SimulationRun(drop_scenario(place))
+    drops = count_drops(run)
     s = run.run().summary
     assert drops[(place, 1, "packets")] > 0
     for ss_id in range(1, run.scenario.station_count + 1):
@@ -231,3 +265,23 @@ def test_voice_rides_every_frame():
                   if ie.cid == voice_cid and ie.kind is GrantKind.DATA]
         assert len(grants) == 1
         assert grants[0].grant_bytes == 100
+
+
+def test_series_equal_by_definition():
+    # the README's Output format names these pairs: each is one bucket dict
+    sc = load_scenario("paper-pmp")
+    sc.duration_us = 3_000_000
+    rows = {}  # (scope, metric) -> bucket_start_s -> value, summary rows included
+    for line in csv_bytes(run_scenario(sc)).splitlines()[1:]:
+        *_, scope, metric, bucket_s, value = line.split(",")
+        rows.setdefault((scope, metric), {})[bucket_s] = value
+    stations = sorted({scope for scope, _ in rows if scope.startswith("ss_")})
+    assert len(stations) == sc.station_count
+    pairs = [(("bs", "iface_recv_bps"), ("bs", "load_bps")),
+             (("bs", "iface_sent_bps"), ("bs", "throughput_bps"))]
+    pairs += [((ss, "iface_recv_bps"), (ss, "throughput_bps")) for ss in stations]
+    for a, b in pairs:
+        assert rows.get(a) == rows.get(b), (a, b)
+    # a station that receives nothing has neither series; the rest have both
+    present = [a for a, _ in pairs if a in rows]
+    assert len(present) > 2 and all("-1.000000" in rows[a] for a in present)

@@ -15,7 +15,7 @@ def collector(bucket_us=1_000_000, duration_us=3_000_000):
 
 
 def sdu(i, size=100, created=0):
-    return MacSdu(i, 1, 1, size, created)
+    return MacSdu(i, 1, size, created)
 
 
 def test_delay_sample_seconds():
@@ -157,7 +157,7 @@ def test_scope_sums_match_the_fanout_reference(packets):
     delays = {}  # scope -> bucket -> [delay_us]
     for i, (cid, size, (created, at_bs, delivered), fate) in enumerate(packets):
         src, dst = REF_FLOWS[cid]
-        sdu, ref_sdu = MacSdu(i, cid, cid, size, created), MacSdu(i, cid, cid, size, created)
+        sdu, ref_sdu = MacSdu(i, cid, size, created), MacSdu(i, cid, size, created)
         m.record_offered(sdu)
         ref.record_offered(ref_sdu, src)
         if fate.startswith("queued"):
