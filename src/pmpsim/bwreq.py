@@ -12,6 +12,7 @@ residue becomes the contention window.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Optional
 
 from .kernel import RandomSource
@@ -45,7 +46,8 @@ class BandwidthManager:
 
     `flows` is the grant table, each flow's connection by cid. The poll and
     unsolicited schedules hold the next due time per connection.
-    Outstanding request bytes are the grant scheduler's backlog.
+    Outstanding request bytes are the grant scheduler's backlog. Flows are
+    registered in ascending cid order, so every table iterates in cid order.
     """
 
     def __init__(self, cfg: FrameConfig, scheduler: PacketScheduler, *,
@@ -54,6 +56,7 @@ class BandwidthManager:
         self.scheduler = scheduler
         self.request_bytes = request_bytes
         self.min_contention_slots = min_contention_slots
+        self.capacity = cfg.subframe_capacity_bytes(Direction.UPLINK)
         self.flows: dict[int, Connection] = {}
         self.poll_next: dict[int, int] = {}
         self.unsolicited_next: dict[int, int] = {}
@@ -61,7 +64,10 @@ class BandwidthManager:
         self._chunk_pid = 0
 
     def register_flow(self, conn: Connection) -> None:
-        cid = conn.cid
+        cid, last = conn.cid, next(reversed(self.flows), -1)
+        if cid <= last:
+            raise ValueError(f"cid {cid} registered after cid {last}; "
+                             f"flows must come in ascending cid order")
         self.flows[cid] = conn
         if conn.mode is RequestMode.UNSOLICITED:
             self.unsolicited_next[cid] = 0
@@ -107,7 +113,7 @@ class BandwidthManager:
 
     def issue_unsolicited(self, now: int) -> list[tuple[int, int]]:
         grants = []
-        for cid in sorted(self.unsolicited_next):
+        for cid in self.unsolicited_next:
             while self.unsolicited_next[cid] <= now:
                 grants.append((cid, self.unsolicited_size[cid]))
                 self.unsolicited_next[cid] += self.flows[cid].grant_interval_us
@@ -115,7 +121,7 @@ class BandwidthManager:
 
     def poll_flows(self, now: int) -> list[int]:
         due = []
-        for cid in sorted(self.poll_next):
+        for cid in self.poll_next:
             if self.poll_next[cid] <= now:
                 while self.poll_next[cid] <= now:
                     self.poll_next[cid] += self.flows[cid].grant_interval_us
@@ -123,7 +129,7 @@ class BandwidthManager:
         return due
 
     def build_ul_map(self, frame_index: int, now: int) -> UlMap:
-        capacity = self.cfg.subframe_capacity_bytes(Direction.UPLINK)
+        capacity = self.capacity
         unsolicited = self.issue_unsolicited(now)
         unsol_total = sum(b for _, b in unsolicited)
         if unsol_total > capacity:
@@ -147,23 +153,19 @@ class BandwidthManager:
         contention_bytes = capacity - unsol_total - polls_total - data_total
         slots = contention_bytes // self.request_bytes
 
-        ul_map = UlMap(frame_index)
+        # Stations in ss_id order, each with its unsolicited, data and poll grants
+        # in cid order: the lists are in cid order already, and the sort is stable.
+        flows, rb = self.flows, self.request_bytes
+        grants = [(flows[cid].src, cid, nbytes, GrantKind.DATA) for cid, nbytes in unsolicited]
+        grants += [(flows[cid].src, cid, granted[cid], GrantKind.DATA) for cid in sorted(granted)]
+        grants += [(flows[cid].src, cid, rb, GrantKind.POLL) for cid in polls]
+        grants.sort(key=itemgetter(0))
+        ies = []
         cursor = 0
-        by_ss: dict[int, list[MapIE]] = {}
-        grants = [(cid, nbytes, GrantKind.DATA) for cid, nbytes in sorted(unsolicited)]
-        grants += [(cid, granted[cid], GrantKind.DATA) for cid in sorted(granted)]
-        grants += [(cid, self.request_bytes, GrantKind.POLL) for cid in polls]
-        for cid, nbytes, kind in grants:
-            ss_id = self.flows[cid].src
-            by_ss.setdefault(ss_id, []).append(MapIE(cid, ss_id, 0, nbytes, kind))
-        for ss_id in sorted(by_ss):
-            for ie in by_ss[ss_id]:
-                ie.offset_bytes = cursor
-                cursor += ie.grant_bytes
-                ul_map.ies.append(ie)
-        ul_map.contention_offset = cursor
-        ul_map.contention_bytes = slots * self.request_bytes
-        return ul_map
+        for ss_id, cid, nbytes, kind in grants:
+            ies.append(MapIE(cid, ss_id, cursor, nbytes, kind))
+            cursor += nbytes
+        return UlMap(frame_index, ies, cursor, slots * rb)
 
     # ----------------------------------------------------------- contention
 

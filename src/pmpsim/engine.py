@@ -19,7 +19,7 @@ from .metrics import (ConservationError, MetricSeries, MetricsCollector, RunMeta
                       RunSummary, emit_csv)
 from .phy import UlMap
 from .qos import Connection, MacSdu
-from .sched import make_scheduler
+from .sched import PacketScheduler, SchedulableQueue, make_scheduler
 from .scenario import Scenario
 from .stations import BaseStation, SubscriberStation, TransmissionRecord
 from .traffic import make_source
@@ -47,7 +47,8 @@ class SimulationRun:
         self.audit: Optional[list[TransmissionRecord]] = [] if record_audit else None
         self.ul_maps: Optional[list[UlMap]] = [] if record_audit else None
 
-        self.bs = BaseStation(make_scheduler(scenario.scheduler_bs))
+        self.bs = BaseStation(make_scheduler(scenario.scheduler_bs), self.cfg,
+                              scenario.map_overhead_fraction)
         self.bw = BandwidthManager(
             self.cfg, make_scheduler(scenario.scheduler_bs),
             request_bytes=scenario.contention.request_bytes,
@@ -62,6 +63,8 @@ class SimulationRun:
                 ss_id, make_scheduler(scenario.scheduler_ss), contention)
 
         self._sources = []
+        # cid -> (its source queue, the queue's packet cap, the station's scheduler)
+        self._uplink: dict[int, tuple[SchedulableQueue, int, PacketScheduler]] = {}
         for i, spec in enumerate(scenario.flows):
             # odd cids: flow i is the CSV's flow_XXXXX number 2i+1
             conn = Connection(
@@ -69,7 +72,8 @@ class SimulationRun:
                 weight=spec.weight, quantum=spec.weight * scenario.base_quantum_bytes,
                 grant_interval_us=spec.grant_interval_us, chunk_bytes=spec.mtu_bytes,
                 rate_bps=spec.rate_bps, packet_bytes=spec.packet_bytes)
-            self.sss[spec.src].add_uplink(conn)
+            ss = self.sss[spec.src]
+            self._uplink[conn.cid] = (ss.add_uplink(conn), conn.queue_cap_packets, ss.local_sched)
             self.bs.add_downlink(conn)
             self.bw.register_flow(conn)
             self._sources.append(make_source(spec, conn.cid, self.sim.rng))
@@ -85,16 +89,14 @@ class SimulationRun:
 
     def ingest(self, cid: int, size_bytes: int) -> None:
         """A generator emitted one SDU onto its flow's connection."""
-        conn = self.bw.flows[cid]
+        queue, cap, sched = self._uplink[cid]
         sdu = MacSdu(self._sdu_counter, cid, size_bytes, self.sim.now)
         self._sdu_counter += 1
         self.metrics.record_offered(sdu)
-        ss = self.sss[conn.src]
-        if ss.local_sched.pending(cid) >= conn.queue_cap_packets:
+        if len(queue.packets) >= cap:
             self.metrics.record_drop(sdu, "src")
             return
-        ss.local_sched.enqueue(cid, sdu.id, size_bytes,
-                               arrival=self.sim.now, payload=sdu)
+        sched.enqueue(cid, sdu.id, size_bytes, arrival=sdu.created_at, payload=sdu)
 
     def uplink_arrival(self, sdu: MacSdu, end_us: int) -> None:
         self.metrics.record_bs_ingress(sdu, end_us)
@@ -118,7 +120,8 @@ class SimulationRun:
         for ss in self._ss_order:
             ss.on_map(self, ul_map, n, ul_start)
         slots = ul_map.contention_bytes // self.scenario.contention.request_bytes
-        states = [ss.contention for ss in self._ss_order]
+        # only a station with a request pending draws a backoff
+        states = [ss.contention for ss in self._ss_order if ss.contention.pending is not None]
         delivered, collided = self.bw.run_contention(states, slots, self.sim.rng)
         for _slot, req in delivered:
             self.bw.on_request(req)

@@ -96,7 +96,7 @@ class GrantKind(Enum):
     POLL = "unicast-poll"
 
 
-@dataclass
+@dataclass(slots=True)
 class MapIE:
     cid: int
     ss_id: int

@@ -40,7 +40,7 @@ def requires_request(cls: SchedulingClass) -> RequestMode:
     return RequestMode.CONTENTION
 
 
-@dataclass
+@dataclass(slots=True)
 class MacSdu:
     id: int
     cid: int  # the flow's connection, on both hops

@@ -15,8 +15,6 @@ import math
 from fractions import Fraction
 from typing import Any
 
-import yaml
-
 from .phy import FrameConfig, Modulation, PhyProfile
 from .qos import SchedulingClass
 from .sched import SCHEDULER_NAMES
@@ -28,9 +26,6 @@ CBR_KINDS = ("voice", "voip_silence", "ftp")  # constant-rate kinds: rate_bps, p
 INT_MAX = 2**53
 # flow i has cid 2i+1, its flow_XXXXX number, and a cid has 16 bits
 MAX_FLOWS = 2**15 - 1
-# libyaml's parser where PyYAML is built with it; both feed the same Python
-# SafeConstructor, so the parsed values are identical
-_YAML_LOADER = yaml.CSafeLoader if yaml.__with_libyaml__ else yaml.SafeLoader
 
 
 class ScenarioError(Exception):
@@ -215,6 +210,19 @@ _KEYS["scenario"] = _KEYS.pop("") | (set(_SECTIONS) - {""})
 _FLOW_KEYS = {kind: {row[1] for row in _SECTIONS["flows"] if row[6] is None or kind in row[6]}
               for kind in TRAFFIC_KINDS}
 _DEFAULTS = {row[2]: row[4] for row in FIELDS if row[0] != "flows"}
+_FLOW_ROWS = {row[1]: row for row in _SECTIONS["flows"]}  # key -> row
+_FLOW_ORDER = {key: i for i, key in enumerate(_FLOW_ROWS)}  # key -> its place in the table
+_FLOW_REQUIRED = {key for key, row in _FLOW_ROWS.items() if row[4] is REQUIRED}
+# Per kind: attribute -> default of each row whose default does not depend on
+# the class, and (key, attribute, default by class) of each row whose does.
+_FLOW_DEFAULTS: dict[str, dict[str, Any]] = {kind: {} for kind in TRAFFIC_KINDS}
+_FLOW_BY_CLASS: dict[str, list[tuple]] = {kind: [] for kind in TRAFFIC_KINDS}
+for _kind in TRAFFIC_KINDS:
+    for _, _key, _attribute, _, _default, _, _, _ in _FLOW_ROWS.values():
+        if type(_default) is dict and _kind not in _default:
+            _FLOW_BY_CLASS[_kind].append((_key, _attribute, _default))
+        elif _default is not REQUIRED:
+            _FLOW_DEFAULTS[_kind][_attribute] = _default[_kind] if type(_default) is dict else _default
 
 
 def _check_keys(d: Any, allowed: set[str], path: str) -> None:
@@ -229,16 +237,24 @@ def _parse_rows(rows: list[tuple], d: dict, path: str) -> dict[str, Any]:
     """Attribute to value for each row: parsed from mapping d, else the default."""
     values: dict[str, Any] = {}
     for _, key, attribute, parse, default, bound, _, _ in rows:
-        if key in d:
-            value = parse(d[key], f"{path}.{key}" if path else key, bound)
-        elif default is REQUIRED:
+        values[attribute] = (parse(d[key], f"{path}.{key}" if path else key, bound)
+                             if key in d else default)
+    return values
+
+
+def _parse_flow(d: dict, kind: str, path: str) -> dict[str, Any]:
+    """Attribute to value for each row of a flow of `kind` whose keys d has
+    passed `_check_keys`: the keys given are parsed in table order, and the
+    others take their default, which may depend on the flow's class."""
+    values = dict(_FLOW_DEFAULTS[kind])
+    for key in sorted(d.keys() | _FLOW_REQUIRED, key=_FLOW_ORDER.__getitem__):
+        if key not in d:
             raise ScenarioError(f"{path}: flow needs src and dst station ids")
-        elif type(default) is dict:
-            kind = values["kind"]
-            value = default[kind] if kind in default else default[values["cls"]]
-        else:
-            value = default
-        values[attribute] = value
+        _, _, attribute, parse, _, bound, _, _ = _FLOW_ROWS[key]
+        values[attribute] = parse(d[key], f"{path}.{key}", bound)
+    for key, attribute, default in _FLOW_BY_CLASS[kind]:
+        if key not in d:
+            values[attribute] = default[values["cls"]]
     return values
 
 
@@ -297,7 +313,7 @@ class FlowSpec(Section):
         if kind not in TRAFFIC_KINDS:
             raise ScenarioError(f"{path}.kind: expected one of {TRAFFIC_KINDS}, got {kind!r}")
         _check_keys(d, _FLOW_KEYS[kind], path)
-        spec = cls(**_parse_rows(_SECTIONS["flows"], d, path))
+        spec = cls(**_parse_flow(d, kind, path))
         if spec.name is None:
             spec.name = f"{kind}-ss{spec.src}-ss{spec.dst}"
         return spec
@@ -399,6 +415,7 @@ class Scenario:
         return d
 
     def to_yaml(self) -> str:
+        import yaml
         return yaml.safe_dump(self.to_dict(), sort_keys=False, default_flow_style=False)
 
     def copy(self) -> "Scenario":
@@ -412,9 +429,13 @@ def load_scenario(path_or_name: str) -> Scenario:
     builtin = traffic.builtin_scenarios()
     if path_or_name in builtin:
         return builtin[path_or_name]()
+    import yaml  # only files need it, so the built-ins load without PyYAML
+    # libyaml's parser where PyYAML is built with it; both feed the same Python
+    # SafeConstructor, so the parsed values are identical
+    loader = yaml.CSafeLoader if yaml.__with_libyaml__ else yaml.SafeLoader
     try:
         with open(path_or_name) as fh:
-            raw = yaml.load(fh, Loader=_YAML_LOADER)
+            raw = yaml.load(fh, Loader=loader)
     except FileNotFoundError:
         raise ScenarioError(
             f"no scenario file {path_or_name!r} and no built-in of that name "

@@ -74,16 +74,12 @@ class PacketScheduler:
         bisect.insort(self._order, q, key=lambda x: x.cid)
         return q
 
-    def tag(self, queue: SchedulableQueue, size: int, arrival: int) -> Any:
-        """Service key of a new packet: its arrival time."""
-        return arrival
-
     def enqueue(self, cid: int, pid: int, size: int, arrival: int = 0,
                 payload: Any = None) -> None:
         if size < 1:
             raise ValueError("packet size must be >= 1")
         q = self.queues[cid]
-        q.packets.append(QueuedPacket(pid, size, self.tag(q, size, arrival), payload))
+        q.packets.append(QueuedPacket(pid, size, arrival, payload))
         q.backlog_bytes += size
 
     def trim_tail(self, cid: int, target_bytes: int) -> None:
@@ -142,12 +138,20 @@ class MinTagScheduler(PacketScheduler):
         self._heads: list[tuple[Any, int, int, QueuedPacket]] = []
         self._seq = 0
 
+    def tag(self, queue: SchedulableQueue, size: int, arrival: int) -> Any:
+        """Service key of a new packet: its arrival time."""
+        return arrival
+
     def enqueue(self, cid: int, pid: int, size: int, arrival: int = 0,
                 payload: Any = None) -> None:
-        super().enqueue(cid, pid, size, arrival, payload)
-        packets = self.queues[cid].packets
-        if len(packets) == 1:  # a new head
-            heapq.heappush(self._heads, (packets[0].tag, cid, self._seq, packets[0]))
+        if size < 1:
+            raise ValueError("packet size must be >= 1")
+        q = self.queues[cid]
+        pkt = QueuedPacket(pid, size, self.tag(q, size, arrival), payload)
+        q.packets.append(pkt)
+        q.backlog_bytes += size
+        if len(q.packets) == 1:  # a new head
+            heapq.heappush(self._heads, (pkt.tag, cid, self._seq, pkt))
             self._seq += 1
 
     def select(self, budget: int) -> list[ServiceDecision]:
@@ -210,14 +214,13 @@ class WfqScheduler(MinTagScheduler):
             self._heads = [(tag * k, c, seq, pkt) for tag, c, seq, pkt in self._heads]
         return q
 
-    def finish_tag(self, queue: SchedulableQueue, size: int) -> int:
-        tag = (max(self.virtual_time, queue.last_finish_tag)
-               + size * (self.tag_scale // queue.weight))
+    def finish_tag(self, queue: SchedulableQueue, size: int, arrival: int = 0) -> int:
+        vt, last = self.virtual_time, queue.last_finish_tag
+        tag = (last if last > vt else vt) + size * (self.tag_scale // queue.weight)
         queue.last_finish_tag = tag
         return tag
 
-    def tag(self, queue: SchedulableQueue, size: int, arrival: int) -> int:
-        return self.finish_tag(queue, size)
+    tag = finish_tag  # the service key; arrival plays no part
 
 
 class FifoScheduler(MinTagScheduler):

@@ -164,7 +164,7 @@ def build_paper_scenario() -> Scenario:
     """The five-station PMP cell: one BS, five SSs, five crossing flows.
 
     The uplink subframe share is sized so the default traffic mix loads the
-    uplink to slightly above its capacity; that is the operating point where
+    uplink to just under its capacity; that is the operating point where
     the choice of grant scheduler is visible in delay and throughput.
     The literal traffic matrix leaves one station silent and one flow
     without a destination; here the silence-suppressed VoIP flow runs

@@ -12,9 +12,10 @@ from one frame to the next. The result holds, per frame, the flat
 [(cid, pid, size), ...] list of served packets and each queue's rotation
 credit after the select ({cid: credit}; always 0 for wfq and fifo).
 
-The single-shot `*_reference` functions are one frame of the same reference:
-they take queues as (cid, weight_or_quantum, [(pid, size), ...]) and return
-the served list of that frame.
+The single-shot `*_reference` functions are one frame of the same reference
+for each of several budgets, each frame from the same freshly filled
+queues: they take queues as (cid, weight_or_quantum, [(pid, size), ...]) and
+a list of budgets, and return the served list of each frame.
 
 `FanoutCollector` is the reference for `pmpsim.metrics.MetricsCollector`:
 it writes each event into every scope it counts toward as the event happens,
@@ -24,11 +25,20 @@ with float delay sums and running (Welford) statistics.
 from fractions import Fraction
 
 
-def _state(queues):
-    return sorted(
-        ({"cid": c, "param": p, "packets": [], "last": 0,
-          "credit": 0, "open": False} for c, p in queues),
-        key=lambda s: s["cid"])
+def _machine(queues):
+    """A reference's whole state: its queues in cid order, the virtual time
+    `v` and the rotation pointer `ptr`."""
+    return {"queues": sorted(
+                ({"cid": c, "param": p, "packets": [], "last": 0,
+                  "credit": 0, "open": False} for c, p in queues),
+                key=lambda s: s["cid"]),
+            "v": 0, "ptr": 0}
+
+
+def _copy(m):
+    """A copy of machine m that a select can change without changing m: a
+    select pops packets but changes none."""
+    return {**m, "queues": [{**s, "packets": s["packets"][:]} for s in m["queues"]]}
 
 
 def _trim(s, target):
@@ -51,17 +61,59 @@ def _trim(s, target):
         s["open"] = False
 
 
-def _frames(state, frames, tag, select):
-    by_cid = {s["cid"]: s for s in state}
+def _enqueue(m, enqueues, tag):
+    by_cid = {s["cid"]: s for s in m["queues"]}
+    for cid, pid, size, arrival in enqueues:
+        s = by_cid[cid]
+        s["packets"].append([pid, size, tag(m, s, size, arrival)])
+
+
+def _frames(queues, frames, tag, select):
+    m = _machine(queues)
+    by_cid = {s["cid"]: s for s in m["queues"]}
     out = []
     for enqueues, trims, budget in frames:
-        for cid, pid, size, arrival in enqueues:
-            s = by_cid[cid]
-            s["packets"].append([pid, size, tag(s, size, arrival)])
+        _enqueue(m, enqueues, tag)
         for cid, target in trims:
             _trim(by_cid[cid], target)
-        out.append((select(budget), {s["cid"]: s["credit"] for s in state}))
+        out.append((select(m, budget), {s["cid"]: s["credit"] for s in m["queues"]}))
     return out
+
+
+def _no_tag(m, s, size, arrival):
+    return 0
+
+
+def _arrival_tag(m, s, size, arrival):
+    return arrival
+
+
+def _wfq_tag(m, s, size, arrival):
+    s["last"] = max(m["v"], s["last"]) + Fraction(size, s["param"])
+    return s["last"]
+
+
+def _wfq_select(m, budget):
+    served = []
+    remaining = budget
+    while True:
+        best = None
+        for s in m["queues"]:
+            if not s["packets"]:
+                continue
+            if best is None or s["packets"][0][2] < best["packets"][0][2]:
+                best = s
+        if best is None:
+            break
+        pid, size, t = best["packets"][0]
+        if size > remaining:
+            break
+        best["packets"].pop(0)
+        remaining -= size
+        if t > m["v"]:
+            m["v"] = t
+        served.append((best["cid"], pid, size))
+    return served
 
 
 def wfq_frames(queues, frames):
@@ -71,63 +123,70 @@ def wfq_frames(queues, frames):
     is the largest tag served so far. The smallest head tag is served first,
     ties to the lower cid; a head larger than the budget left ends the frame.
     """
-    state = _state(queues)
-    clock = {"v": 0}
+    return _frames(queues, frames, _wfq_tag, _wfq_select)
 
-    def tag(s, size, arrival):
-        s["last"] = max(clock["v"], s["last"]) + Fraction(size, s["param"])
-        return s["last"]
 
-    def select(budget):
-        served = []
-        remaining = budget
-        while True:
-            best = None
-            for s in state:
-                if not s["packets"]:
-                    continue
-                if best is None or s["packets"][0][2] < best["packets"][0][2]:
-                    best = s
-            if best is None:
-                break
-            pid, size, t = best["packets"][0]
-            if size > remaining:
-                break
-            best["packets"].pop(0)
-            remaining -= size
-            if t > clock["v"]:
-                clock["v"] = t
-            served.append((best["cid"], pid, size))
-        return served
-
-    return _frames(state, frames, tag, select)
+def _fifo_select(m, budget):
+    served = []
+    remaining = budget
+    while True:
+        best = None
+        for s in m["queues"]:
+            if not s["packets"]:
+                continue
+            if best is None or s["packets"][0][2] < best["packets"][0][2]:
+                best = s
+        if best is None:
+            break
+        pid, size, _ = best["packets"][0]
+        if size > remaining:
+            break
+        best["packets"].pop(0)
+        remaining -= size
+        served.append((best["cid"], pid, size))
+    return served
 
 
 def fifo_frames(queues, frames):
     """queues: list of (cid, ignored). Earliest head arrival first, ties to the lower cid."""
-    state = _state(queues)
+    return _frames(queues, frames, _arrival_tag, _fifo_select)
 
-    def select(budget):
-        served = []
-        remaining = budget
-        while True:
-            best = None
-            for s in state:
-                if not s["packets"]:
-                    continue
-                if best is None or s["packets"][0][2] < best["packets"][0][2]:
-                    best = s
-            if best is None:
+
+def _dwrr_select(m, budget):
+    state = m["queues"]
+    served = []
+    remaining = budget
+    n = len(state)
+    while any(s["packets"] and s["packets"][0][1] <= remaining for s in state):
+        s = state[m["ptr"] % n]
+        if not s["packets"] or s["packets"][0][1] > remaining:
+            m["ptr"] += 1
+            continue
+        resumed = s["open"]
+        if not resumed:
+            s["credit"] += s["param"]
+            s["open"] = True
+        blocked = False
+        while s["packets"]:
+            pid, size, _ = s["packets"][0]
+            if size > s["credit"]:
                 break
-            pid, size, _ = best["packets"][0]
             if size > remaining:
+                blocked = True
                 break
-            best["packets"].pop(0)
+            s["packets"].pop(0)
+            s["credit"] -= size
             remaining -= size
-            served.append((best["cid"], pid, size))
-        return served
-
-    return _frames(state, frames, lambda s, size, arrival: arrival, select)
+            served.append((s["cid"], pid, size))
+        if not s["packets"]:
+            s["credit"] = 0
+        if blocked:
+            m["ptr"] += 1
+        else:
+            s["open"] = False
+            if not resumed:
+                m["ptr"] += 1
+    return served
 
 
 def dwrr_frames(queues, frames):
@@ -140,45 +199,41 @@ def dwrr_frames(queues, frames):
     such a resumed visit the queue's next visit follows at once. A queue
     left empty loses its deficit.
     """
-    state = _state(queues)
-    pos = {"ptr": 0}
+    return _frames(queues, frames, _no_tag, _dwrr_select)
 
-    def select(budget):
-        served = []
-        remaining = budget
-        n = len(state)
-        while any(s["packets"] and s["packets"][0][1] <= remaining for s in state):
-            s = state[pos["ptr"] % n]
-            if not s["packets"] or s["packets"][0][1] > remaining:
-                pos["ptr"] += 1
-                continue
-            resumed = s["open"]
+
+def _wrr_select(m, budget):
+    state = m["queues"]
+    served = []
+    remaining = budget
+    n = len(state)
+    while any(s["packets"] and s["packets"][0][1] <= remaining for s in state):
+        s = state[m["ptr"] % n]
+        if not s["packets"] or s["packets"][0][1] > remaining:
+            m["ptr"] += 1
+            continue
+        resumed = s["open"]
+        if not resumed:
+            s["credit"] = s["param"]
+            s["open"] = True
+        blocked = False
+        while s["packets"] and s["credit"] > 0:
+            pid, size, _ = s["packets"][0]
+            if size > remaining:
+                blocked = True
+                break
+            s["packets"].pop(0)
+            s["credit"] -= 1
+            remaining -= size
+            served.append((s["cid"], pid, size))
+        if blocked:
+            m["ptr"] += 1
+        else:
+            s["open"] = False
+            s["credit"] = 0
             if not resumed:
-                s["credit"] += s["param"]
-                s["open"] = True
-            blocked = False
-            while s["packets"]:
-                pid, size, _ = s["packets"][0]
-                if size > s["credit"]:
-                    break
-                if size > remaining:
-                    blocked = True
-                    break
-                s["packets"].pop(0)
-                s["credit"] -= size
-                remaining -= size
-                served.append((s["cid"], pid, size))
-            if not s["packets"]:
-                s["credit"] = 0
-            if blocked:
-                pos["ptr"] += 1
-            else:
-                s["open"] = False
-                if not resumed:
-                    pos["ptr"] += 1
-        return served
-
-    return _frames(state, frames, lambda s, size, arrival: 0, select)
+                m["ptr"] += 1
+    return served
 
 
 def wrr_frames(queues, frames):
@@ -189,69 +244,54 @@ def wrr_frames(queues, frames):
     open with the packets it has left, as in dwrr_frames; a visit that ends
     any other way forfeits what it has left.
     """
-    state = _state(queues)
-    pos = {"ptr": 0}
+    return _frames(queues, frames, _no_tag, _wrr_select)
 
-    def select(budget):
+
+def _one_frame(tag, select, queues, budgets, arrivals=None):
+    """The queues are filled once: the tags do not depend on the budget."""
+    m = _machine([(cid, p) for cid, p, _ in queues])
+    _enqueue(m, [(cid, pid, size, arrivals[cid][i] if arrivals else 0)
+                 for cid, _, packets in queues for i, (pid, size) in enumerate(packets)], tag)
+    return [select(_copy(m), budget) for budget in budgets]
+
+
+def _min_tag_frame(tag, select, queues, budgets, arrivals=None):
+    """A min-tag discipline serves the heads in one order whatever the budget,
+    so a frame serves the longest prefix of that order that fits its budget."""
+    everything = sum(size for _, _, packets in queues for _, size in packets)
+    order = _one_frame(tag, select, queues, [everything], arrivals)[0]
+    frames = []
+    for budget in budgets:
         served = []
-        remaining = budget
-        n = len(state)
-        while any(s["packets"] and s["packets"][0][1] <= remaining for s in state):
-            s = state[pos["ptr"] % n]
-            if not s["packets"] or s["packets"][0][1] > remaining:
-                pos["ptr"] += 1
-                continue
-            resumed = s["open"]
-            if not resumed:
-                s["credit"] = s["param"]
-                s["open"] = True
-            blocked = False
-            while s["packets"] and s["credit"] > 0:
-                pid, size, _ = s["packets"][0]
-                if size > remaining:
-                    blocked = True
-                    break
-                s["packets"].pop(0)
-                s["credit"] -= 1
-                remaining -= size
-                served.append((s["cid"], pid, size))
-            if blocked:
-                pos["ptr"] += 1
-            else:
-                s["open"] = False
-                s["credit"] = 0
-                if not resumed:
-                    pos["ptr"] += 1
-        return served
-
-    return _frames(state, frames, lambda s, size, arrival: 0, select)
+        for cid, pid, size in order:
+            if size > budget:
+                break
+            served.append((cid, pid, size))
+            budget -= size
+        frames.append(served)
+    return frames
 
 
-def _one_frame(frames_fn, queues, budget, arrivals=None):
-    enqueues = [(cid, pid, size, arrivals[cid][i] if arrivals else 0)
-                for cid, _, packets in queues for i, (pid, size) in enumerate(packets)]
-    return frames_fn([(cid, p) for cid, p, _ in queues], [(enqueues, [], budget)])[0][0]
-
-
-def wfq_reference(queues, budget):
+def wfq_reference(queues, budgets):
     """queues: list of (cid, weight, packets). Tags = cumulative size/weight."""
-    return _one_frame(wfq_frames, queues, budget)
+    return _min_tag_frame(_wfq_tag, _wfq_select, queues, budgets)
 
 
-def dwrr_reference(queues, budget):
+def dwrr_reference(queues, budgets):
     """queues: list of (cid, quantum, packets)."""
-    return _one_frame(dwrr_frames, queues, budget)
+    return _one_frame(_no_tag, _dwrr_select, queues, budgets)
 
 
-def wrr_reference(queues, budget):
+def wrr_reference(queues, budgets):
     """queues: list of (cid, weight, packets). Serves up to weight packets per visit."""
-    return _one_frame(wrr_frames, queues, budget)
+    return _one_frame(_no_tag, _wrr_select, queues, budgets)
 
 
-def fifo_reference(queues, budget):
+def fifo_reference(queues, budgets):
     """queues: list of (cid, arrivals, packets); arrivals parallel to packets."""
-    return _one_frame(fifo_frames, [(c, 1, p) for c, _, p in queues], budget,
-                      arrivals={c: a for c, a, _ in queues})
+    return _min_tag_frame(_arrival_tag, _fifo_select,
+                          [(c, 1, p) for c, _, p in queues], budgets,
+                          arrivals={c: a for c, a, _ in queues})
 
 
 # ------------------------------------------------------------------ metrics

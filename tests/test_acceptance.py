@@ -113,44 +113,40 @@ def test_criterion_3_dwrr_shares_and_deficit_bound():
 # -------------------------------------------------------------- criterion 4
 
 def _oracle_check(queue_sizes, configs, budgets):
-    """Compare all four disciplines against their references on one instance."""
-    queues = []
-    arrivals = {}
+    """Compare all four disciplines against their references on one instance.
+
+    Each budget's select runs on a freshly filled scheduler. What does not
+    depend on the budget (the enqueue calls, each reference's filled queues)
+    is worked out once per instance.
+    """
+    queues, arrivals = [], {}
+    enqueues = []  # enqueue arguments: (cid, pid, size, arrival)
     pid = 0
     for i, sizes in enumerate(queue_sizes):
         cid = i + 1
-        packets, arrs = [], []
-        for j, size in enumerate(sizes):
-            packets.append((pid, size))
-            arrs.append(j)  # equal arrival ranks across queues: ties by cid
-            pid += 1
+        packets = [(pid + j, size) for j, size in enumerate(sizes)]
+        pid += len(sizes)
         queues.append((cid, configs[i], packets))
-        arrivals[cid] = arrs
+        arrivals[cid] = list(range(len(sizes)))  # equal arrival ranks across queues: ties by cid
+        enqueues += [(cid, p, size, j) for j, (p, size) in enumerate(packets)]
     size_of = {p: s for _, _, pk in queues for p, s in pk}
+    refs = {"wfq": wfq_reference(queues, budgets), "dwrr": dwrr_reference(queues, budgets),
+            "wrr": wrr_reference(queues, budgets),
+            "fifo": fifo_reference([(c, arrivals[c], pk) for c, _, pk in queues], budgets)}
+    # add_queue arguments: (cid, weight, quantum); fifo takes the defaults
+    adds = {name: [(cid, wq, wq) for cid, wq, _ in queues] for name in ("wfq", "dwrr", "wrr")}
+    adds["fifo"] = [(cid, 1, 1) for cid, _, _ in queues]
     checks = 0
-    for budget in budgets:
-        for name, ref in (("wfq", wfq_reference), ("dwrr", dwrr_reference),
-                          ("wrr", wrr_reference)):
+    for name, queue_args in adds.items():
+        for budget, ref in zip(budgets, refs[name]):
             s = make_scheduler(name)
-            for cid, wq, _ in queues:
-                s.add_queue(cid, weight=wq, quantum=wq)
-            for cid, _, packets in queues:
-                for idx, (p, sz) in enumerate(packets):
-                    s.enqueue(cid, p, sz, arrival=arrivals[cid][idx])
-            got = [(d.cid, p, size_of[p]) for d in s.select(budget)
-                   for p in d.packet_ids]
-            assert got == ref(queues, budget), (name, queue_sizes, configs, budget)
+            for args in queue_args:
+                s.add_queue(*args)
+            for args in enqueues:
+                s.enqueue(*args)
+            got = [(d.cid, p, size_of[p]) for d in s.select(budget) for p in d.packet_ids]
+            assert got == ref, (name, queue_sizes, configs, budget)
             checks += 1
-        s = make_scheduler("fifo")
-        for cid, _, packets in queues:
-            s.add_queue(cid)
-            for idx, (p, sz) in enumerate(packets):
-                s.enqueue(cid, p, sz, arrival=arrivals[cid][idx])
-        got = [(d.cid, p, size_of[p]) for d in s.select(budget)
-               for p in d.packet_ids]
-        assert got == fifo_reference(
-            [(c, arrivals[c], pk) for c, _, pk in queues], budget)
-        checks += 1
     return checks
 
 

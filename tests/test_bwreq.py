@@ -67,6 +67,18 @@ def test_requests_rejected_for_unsolicited_flows():
         bw.on_request(BwRequest(1, 1000))
 
 
+def test_flows_register_in_ascending_cid_order():
+    # the map's unsolicited grants and polls come out in registration order,
+    # so that order must be cid order
+    bw = make_manager()
+    register(bw, 3, 1, SchedulingClass.BE)
+    with pytest.raises(ValueError, match="ascending cid order"):
+        register(bw, 1, 2, SchedulingClass.BE)
+    with pytest.raises(ValueError, match="ascending cid order"):
+        register(bw, 3, 2, SchedulingClass.BE)
+    assert list(bw.flows) == [3]
+
+
 def test_poll_intervals():
     bw = make_manager()
     register(bw, 1, 1, SchedulingClass.RTPS, grant_interval_us=12_500)

@@ -1,3 +1,6 @@
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -134,7 +137,8 @@ def test_start_us_zero_is_the_default(tmp_path):
 def test_scenario_files_parse_alike_with_either_yaml_loader(tmp_path, monkeypatch, loader):
     if not hasattr(yaml, loader):
         pytest.skip(f"PyYAML built without {loader}")
-    monkeypatch.setattr(scenario_module, "_YAML_LOADER", getattr(yaml, loader))
+    # load_scenario takes libyaml's loader exactly when PyYAML says it has it
+    monkeypatch.setattr(yaml, "__with_libyaml__", loader == "CSafeLoader")
     text = load_scenario("paper-pmp").to_yaml()
     path = tmp_path / "s.yaml"
     path.write_text(text)
@@ -142,6 +146,16 @@ def test_scenario_files_parse_alike_with_either_yaml_loader(tmp_path, monkeypatc
     path.write_text("frame: [unclosed")
     with pytest.raises(ScenarioError, match="YAML parse error"):
         load_scenario(str(path))
+
+
+def test_builtin_scenarios_load_without_pyyaml():
+    # PyYAML's import is a large share of a short run's set-up; only files need it
+    src = Path(scenario_module.__file__).resolve().parents[1]
+    code = ("import sys, pmpsim; pmpsim.load_scenario('paper-pmp'); "
+            "assert 'yaml' not in sys.modules, 'yaml imported'")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=60, env={**os.environ, "PYTHONPATH": str(src)})
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_modulation_selectable(tmp_path):

@@ -325,7 +325,7 @@ def test_random_instances_match_reference(name, ref):
             queues.append((i + 1, wq, packets))
         budget = rng.randint(0, 30)
         impl, sizes = build_impl(name, queues)
-        assert flatten(impl.select(budget), sizes) == ref(queues, budget)
+        assert flatten(impl.select(budget), sizes) == ref(queues, [budget])[0]
 
 
 def test_random_fifo_instances_match_reference():
@@ -348,7 +348,7 @@ def test_random_fifo_instances_match_reference():
             arrivals[cid] = arrs
         budget = rng.randint(0, 30)
         impl, sizes = build_impl("fifo", [(c, 1, p) for c, _, p in queues], arrivals)
-        assert flatten(impl.select(budget), sizes) == fifo_reference(queues, budget)
+        assert flatten(impl.select(budget), sizes) == fifo_reference(queues, [budget])[0]
 
 
 def served_frames(s, frames, sizes=None):
