@@ -22,7 +22,7 @@ from .qos import Connection, MacSdu
 from .sched import PacketScheduler, SchedulableQueue, make_scheduler
 from .scenario import Scenario
 from .stations import BaseStation, SubscriberStation, TransmissionRecord
-from .traffic import make_source
+from .traffic import Emitter
 
 
 @dataclass
@@ -62,7 +62,6 @@ class SimulationRun:
             self.sss[ss_id] = SubscriberStation(
                 ss_id, make_scheduler(scenario.scheduler_ss), contention)
 
-        self._sources = []
         # cid -> (its source queue, the queue's packet cap, the station's scheduler)
         self._uplink: dict[int, tuple[SchedulableQueue, int, PacketScheduler]] = {}
         for i, spec in enumerate(scenario.flows):
@@ -76,7 +75,6 @@ class SimulationRun:
             self._uplink[conn.cid] = (ss.add_uplink(conn), conn.queue_cap_packets, ss.local_sched)
             self.bs.add_downlink(conn)
             self.bw.register_flow(conn)
-            self._sources.append(make_source(spec, conn.cid, self.sim.rng))
 
         self._ss_order = [self.sss[s] for s in sorted(self.sss)]
         self.metrics = MetricsCollector(
@@ -130,12 +128,12 @@ class SimulationRun:
     # ----------------------------------------------------------------- run
 
     def run(self) -> RunResult:
-        for src in self._sources:
-            src.start(self.sim, self.scenario.duration_us, self.ingest)
+        end_us, traffic = self.scenario.duration_us, self.sim.rng.traffic
+        # cids in flow order; each emitter lives in the event queue until its flow stops
+        for cid, spec in zip(self.bw.flows, self.scenario.flows):
+            Emitter(spec, cid, traffic, end_us, self.sim.schedule, self.ingest)
         self.sim.schedule(0, EventKind.FRAME_START, self._frame_start, 0)
-        self.sim.run_until(self.scenario.duration_us)
-        # sources hold self.ingest; dropping them frees the run without the cycle GC
-        self._sources.clear()
+        self.sim.run_until(end_us)
 
         # (packets, bytes) each flow still holds, at its source and at the relay
         queued = {}

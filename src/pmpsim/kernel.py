@@ -27,32 +27,23 @@ class SchedulingError(Exception):
 class RandomSource:
     """Seeded pseudo-random source with per-subsystem substreams.
 
-    Traffic generation draws from its own substream so that the emitted
-    packet sequence for a given seed does not depend on how many draws
-    the MAC (contention backoff) consumed. This keeps traffic identical
+    The traffic sources draw directly from their own substream, the
+    `random.Random` in `traffic`, so that the emitted packet sequence for
+    a given seed does not depend on how many draws the MAC (contention
+    backoff, through `draw_uniform`) consumed. This keeps traffic identical
     across scheduler variants of the same seed, which is what makes
     per-seed scheduler comparisons paired.
     """
 
     def __init__(self, seed: int):
         self._mac = random.Random(seed)
-        self._traffic = random.Random(seed * 1_000_003 + 1)
+        self.traffic = random.Random(seed * 1_000_003 + 1)
 
     def draw_uniform(self, rng: int) -> int:
         """Uniform integer in [0, rng); consumed from the MAC substream."""
         if rng < 1:
             raise ValueError(f"draw_uniform range must be >= 1, got {rng}")
         return self._mac.randrange(rng)
-
-    # traffic-model draws
-    def traffic_expovariate(self, mean: float) -> float:
-        return self._traffic.expovariate(1.0 / mean)
-
-    def traffic_lognormvariate(self, mu: float, sigma: float) -> float:
-        return self._traffic.lognormvariate(mu, sigma)
-
-    def traffic_paretovariate(self, alpha: float) -> float:
-        return self._traffic.paretovariate(alpha)
 
 
 class Simulator:

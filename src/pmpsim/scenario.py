@@ -313,7 +313,8 @@ class FlowSpec(Section):
         if kind not in TRAFFIC_KINDS:
             raise ScenarioError(f"{path}.kind: expected one of {TRAFFIC_KINDS}, got {kind!r}")
         _check_keys(d, _FLOW_KEYS[kind], path)
-        spec = cls(**_parse_flow(d, kind, path))
+        spec = cls.__new__(cls)
+        spec.__dict__ = _parse_flow(d, kind, path)  # a fresh dict: no copy needed
         if spec.name is None:
             spec.name = f"{kind}-ss{spec.src}-ss{spec.dst}"
         return spec

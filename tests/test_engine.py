@@ -1,4 +1,7 @@
+import csv
+import gc
 import io
+import weakref
 from collections import Counter
 from fractions import Fraction
 
@@ -285,3 +288,35 @@ def test_series_equal_by_definition():
     # a station that receives nothing has neither series; the rest have both
     present = [a for a, _ in pairs if a in rows]
     assert len(present) > 2 and all("-1.000000" in rows[a] for a in present)
+
+
+def test_finished_run_freed_without_cycle_collector():
+    # a run left to the cycle collector holds its whole world until the next
+    # collection, which shows in peak RSS
+    sc = load_scenario("paper-pmp")
+    sc.duration_us = 1_000_000
+    gc.disable()
+    try:
+        run = SimulationRun(sc)
+        run.run()
+        ref = weakref.ref(run)
+        del run
+        assert ref() is None
+    finally:
+        gc.enable()
+
+
+@pytest.mark.parametrize("name, distinct", [("paper-pmp", 1), ("paper-pmp-literal", 4)])
+def test_station_scheduler_acts_only_where_a_station_sources_two_flows(name, distinct):
+    # In paper-pmp each station sources one flow, so the station scheduler
+    # never chooses; in paper-pmp-literal SS4 sources voice and VoIP.
+    for seed in (1, 2):
+        for bs in ("wfq", "dwrr"):
+            csvs = set()
+            for ss in ("wfq", "dwrr", "wrr", "fifo"):
+                sc = load_scenario(name)
+                sc.duration_us = 5_000_000
+                sc.seed, sc.scheduler_bs, sc.scheduler_ss = seed, bs, ss
+                rows = csv.reader(io.StringIO(csv_bytes(run_scenario(sc))))
+                csvs.add(tuple(tuple(row[:2] + row[3:]) for row in rows))
+            assert len(csvs) == distinct, (seed, bs)

@@ -96,6 +96,6 @@ def test_traffic_substream_independent_of_mac_draws():
     b = Simulator(seed=9).rng
     for _ in range(100):
         a.draw_uniform(16)  # MAC consumption must not shift traffic draws
-    xs = [a.traffic_expovariate(1.0) for _ in range(20)]
-    ys = [b.traffic_expovariate(1.0) for _ in range(20)]
+    xs = [a.traffic.expovariate(1.0) for _ in range(20)]
+    ys = [b.traffic.expovariate(1.0) for _ in range(20)]
     assert xs == ys
