@@ -1,8 +1,8 @@
 """Golden gate: the CSV bytes of short runs and the scenario dumps must not change.
 
 Each CSV digest is the SHA-256 of the CSV a short run writes: 5 s of a
-built-in 5-SS scenario, or 2 s of a 40-SS cell whose BS schedulers hold 40
-queues. Each dump digest is the SHA-256 of what `print-scenario` writes. A
+built-in 5-SS scenario, 2 s of a 40-SS cell whose BS schedulers hold 40
+queues, or 2 s of a cell that sets every scenario key away from its default. Each dump digest is the SHA-256 of what `print-scenario` writes. A
 change that alters any of them changes simulator output, and must say which
 digest and why.
 """
@@ -15,6 +15,7 @@ import yaml
 
 from pmpsim import Scenario, load_scenario, run_scenario
 from pmpsim.cli import main
+from pmpsim.scenario import FIELDS
 
 # (scenario, BS scheduler, SS scheduler, seed, strict_paper, CSV SHA-256)
 GOLDEN = [
@@ -50,12 +51,46 @@ WIDE_GOLDEN = [
 ]
 WIDE_KINDS = ("ftp", "video", "http", "voip_silence", "voice")
 
-# `print-scenario` output of the built-ins and of the 40-SS cell under WFQ;
-# (scenario, YAML SHA-256)
+# Every key of the scenario file set away from its default, in some flow for
+# the flow keys: one flow per kind, each in a class other than its kind's, a
+# QAM16 frame at a non-default coding rate and efficiency factor. Flows that
+# leave weight or grant_interval_us out take the default of their class.
+EVERY_KEY = {
+    "name": "every-key",
+    "frame": {"frame_duration_us": 10_000, "ttg_us": 100, "rtg_us": 50, "dl_fraction": "2/5",
+              "channel_bandwidth_hz": 10_000_000, "modulation": "qam16",
+              "coding_rate": "2/3", "efficiency_factor": "9/10",
+              "map_overhead_fraction": "1/40"},
+    "stations": {"count": 6},
+    "schedulers": {"bs": "dwrr", "ss": "wrr", "base_quantum_bytes": 1000},
+    "contention": {"min_window": 4, "max_window": 64, "request_bytes": 6, "min_slots": 3},
+    "flows": [
+        {"kind": "voice", "src": 1, "dst": 2, "class": "rtPS", "rate_bps": 48_000,
+         "packet_bytes": 120, "mtu_bytes": 1400},
+        {"kind": "voip_silence", "src": 2, "dst": 3, "class": "UGS", "rate_bps": 32_000,
+         "packet_bytes": 80, "talk_mean_us": 900_000, "silence_mean_us": 600_000,
+         "start_us": 10_000},
+        {"kind": "ftp", "src": 3, "dst": 4, "class": "BE", "weight": 3,
+         "rate_bps": 1_500_000, "packet_bytes": 1000, "queue_packets": 40,
+         "stop_us": 1_500_000},
+        {"kind": "video", "src": 4, "dst": 5, "name": "cam", "class": "nrtPS",
+         "grant_interval_us": 50_000, "frame_interval_us": 33_000, "mean_frame_bytes": 4_000,
+         "max_frame_bytes": 12_000, "sigma": 0.8},
+        {"kind": "http", "src": 5, "dst": 6, "class": "rtPS", "weight": 4,
+         "grant_interval_us": 20_000, "page_rate_per_s": 3.0, "mean_page_bytes": 20_000,
+         "max_page_bytes": 200_000, "pareto_alpha": 1.8, "page_pace_bps": 4_000_000},
+    ],
+    "run": {"seed": 7, "duration_us": 2_000_000, "bucket_us": 500_000, "strict_paper": True},
+}
+EVERY_KEY_CSV = "a2e782154ffe7f41127dc968f94323f2963d9434544fcf641b59e866a49526e7"
+
+# `print-scenario` output of the built-ins, of the 40-SS cell under WFQ and of
+# the every-key cell; (scenario, YAML SHA-256)
 PRINT_GOLDEN = [
     ("paper-pmp", "3cea399a97256300396980a6390a4d729e7661a5c9f86c956cfd675de08ce40c"),
     ("paper-pmp-literal", "aed5d706fb911c388e924478f30f90b20bbaada32ee6cf997b4ee87dfff541af"),
     ("wide-40ss", "391abdc4df54bbed2c31cfcad4bc57e3b2ac38ed6b62774e6f41db5c3d7f4d69"),
+    ("every-key", "d13b7593835aae3de09f131295fb90f8d18e9297ba752ba5bf300c7aa8887233"),
 ]
 
 
@@ -93,12 +128,26 @@ def test_wide_cell_csv_digest_unchanged(scheduler, expected):
     assert _digest(run_scenario(wide_cell(scheduler))) == expected
 
 
+def test_every_key_cell_sets_every_key():
+    given = {("", key) for key, value in EVERY_KEY.items() if not isinstance(value, dict)}
+    for section, value in EVERY_KEY.items():
+        if isinstance(value, dict):
+            given |= {(section, key) for key in value}
+    given |= {("flows", key) for flow in EVERY_KEY["flows"] for key in flow}
+    assert {(row[0], row[1]) for row in FIELDS} <= given
+
+
+def test_every_key_cell_csv_digest_unchanged():
+    assert _digest(run_scenario(Scenario.from_dict(EVERY_KEY))) == EVERY_KEY_CSV
+
+
 @pytest.mark.parametrize("name,expected", PRINT_GOLDEN, ids=[g[0] for g in PRINT_GOLDEN])
 def test_print_scenario_digest_unchanged(tmp_path, capsys, name, expected):
+    trees = {"wide-40ss": lambda: wide_tree("wfq"), "every-key": lambda: EVERY_KEY}
     scenario = name
-    if name == "wide-40ss":
-        scenario = str(tmp_path / "wide.yaml")
+    if name in trees:
+        scenario = str(tmp_path / f"{name}.yaml")
         with open(scenario, "w") as fh:
-            yaml.safe_dump(wide_tree("wfq"), fh)
+            yaml.safe_dump(trees[name](), fh)
     assert main(["print-scenario", "--scenario", scenario]) == 0
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == expected
