@@ -9,7 +9,7 @@ DWRR, WRR, FIFO) are pluggable per scenario.
 from .engine import ConservationError, RunResult, SimulationRun, run_scenario
 from .kernel import EventKind, RandomSource, SchedulingError, Simulator
 from .phy import (Direction, FrameConfig, GrantKind, IllegalMapError, MapIE, Modulation,
-                  PhyProfile, UlMap, validate_map)
+                  UlMap, validate_map)
 from .qos import Connection, MacSdu, RequestMode, SchedulingClass, requires_request
 from .bwreq import BandwidthManager, BwRequest, ContentionState, OversubscribedUgsError
 from .sched import (DwrrScheduler, FifoScheduler, PacketScheduler, SCHEDULER_NAMES,

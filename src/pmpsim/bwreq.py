@@ -129,6 +129,14 @@ class BandwidthManager:
         return due
 
     def build_ul_map(self, frame_index: int, now: int) -> UlMap:
+        """The uplink map of a frame, its IEs back to back from offset 0 and the
+        contention region after them.
+
+        The IEs come in ss_id order. Each station's DATA IEs are contiguous and
+        precede its polls: first its unsolicited grants, then the scheduler's
+        grants, then its polls, each group in cid order. A station can thus
+        send all its data in one window from its first DATA IE.
+        """
         capacity = self.capacity
         unsolicited = self.issue_unsolicited(now)
         unsol_total = sum(b for _, b in unsolicited)
@@ -153,8 +161,7 @@ class BandwidthManager:
         contention_bytes = capacity - unsol_total - polls_total - data_total
         slots = contention_bytes // self.request_bytes
 
-        # Stations in ss_id order, each with its unsolicited, data and poll grants
-        # in cid order: the lists are in cid order already, and the sort is stable.
+        # the lists are in cid order already, and the sort by station is stable
         flows, rb = self.flows, self.request_bytes
         grants = [(flows[cid].src, cid, nbytes, GrantKind.DATA) for cid, nbytes in unsolicited]
         grants += [(flows[cid].src, cid, granted[cid], GrantKind.DATA) for cid in sorted(granted)]

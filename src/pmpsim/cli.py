@@ -1,8 +1,9 @@
 """Command-line surface: run, compare, validate, print-scenario.
 
-Exit codes: 0 success, 1 scenario error or bad command-line input (an output
-path that cannot be written, a scheduler or seed given twice), 2 runtime
-invariant violation.
+Exit codes: 0 success, 1 scenario error or bad command-line input (an unknown
+command or flag, a value argparse rejects, a seed outside the range of a file's
+run.seed, an output path that cannot be written, a scheduler or seed given
+twice), 2 runtime invariant violation.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from .bwreq import OversubscribedUgsError
 from .engine import ConservationError, run_scenario
 from .metrics import read_summary_csv
 from .phy import IllegalMapError
-from .scenario import Scenario, ScenarioError, load_scenario
+from .scenario import FIELDS, Scenario, ScenarioError, load_scenario
 from .sched import SCHEDULER_NAMES
 
 VERDICT_METRICS = (
@@ -72,10 +73,16 @@ def build_comparison(scenario_name: str, schedulers: list[str], seeds: list[int]
     return report
 
 
+def _seed(flag: str, value: int) -> int:
+    """A seed given on the command line, held to the bounds of a file's run.seed."""
+    _, _, _, parse, _, bound, _, _ = next(row for row in FIELDS if row[:2] == ("run", "seed"))
+    return parse(value, flag, bound)
+
+
 def _load(args) -> Scenario:
     sc = load_scenario(args.scenario)
     if getattr(args, "seed", None) is not None:
-        sc.seed = args.seed
+        sc.seed = _seed("--seed", args.seed)
     if getattr(args, "duration", None) is not None:
         sc.duration_us = args.duration * 1_000_000
     if getattr(args, "bs_scheduler", None):
@@ -135,7 +142,7 @@ def cmd_compare(args) -> int:
         seeds = [int(s) for s in args.seeds.split(",") if s.strip()]
     except ValueError:
         raise ScenarioError(f"--seeds: expected comma-separated integers, got {args.seeds!r}")
-    if not _unique("--seeds", seeds):
+    if not _unique("--seeds", [_seed("--seeds", seed) for seed in seeds]):
         raise ScenarioError("compare needs at least one seed")
     base = _load(args)
     out_dir = Path(args.out_dir)
@@ -188,8 +195,17 @@ def cmd_print_scenario(args) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose errors exit 1, the code of bad command-line input;
+    argparse's own code, 2, is that of a runtime invariant violation here."""
+
+    def error(self, message: str):
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(
+    p = _Parser(
         prog="pmpsim",
         description="Discrete-event simulator of an IEEE 802.16 PMP cell "
                     "with pluggable QoS schedulers")

@@ -30,26 +30,16 @@ class Direction(Enum):
 
 
 @dataclass(frozen=True)
-class PhyProfile:
-    modulation: Modulation = Modulation.QAM64
-    coding_rate: Fraction = Fraction(3, 4)
-    # pilot/guard/preamble overhead estimate; configuration, not ground truth
-    efficiency_factor: Fraction = Fraction(4, 5)
-
-    def effective_bit_rate(self, channel_bandwidth_hz: int) -> int:
-        rate = (channel_bandwidth_hz * self.modulation.bits_per_symbol
-                * self.coding_rate * self.efficiency_factor)
-        return int(rate)
-
-
-@dataclass(frozen=True)
 class FrameConfig:
     frame_duration_us: int = 12_500
     ttg_us: int = 106
     rtg_us: int = 60
     dl_fraction: Fraction = Fraction(1, 2)
     channel_bandwidth_hz: int = 20_000_000
-    phy: PhyProfile = field(default_factory=PhyProfile)
+    modulation: Modulation = Modulation.QAM64
+    coding_rate: Fraction = Fraction(3, 4)
+    # pilot/guard/preamble overhead estimate; configuration, not ground truth
+    efficiency_factor: Fraction = Fraction(4, 5)
 
     def __post_init__(self):
         if self.ttg_us + self.rtg_us >= self.frame_duration_us:
@@ -73,7 +63,8 @@ class FrameConfig:
 
     @cached_property
     def bit_rate(self) -> int:
-        return self.phy.effective_bit_rate(self.channel_bandwidth_hz)
+        return int(self.channel_bandwidth_hz * self.modulation.bits_per_symbol
+                   * self.coding_rate * self.efficiency_factor)
 
     def subframe_capacity_bytes(self, direction: Direction) -> int:
         dur = self.dl_subframe_us if direction is Direction.DOWNLINK else self.ul_subframe_us

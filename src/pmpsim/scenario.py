@@ -13,9 +13,10 @@ from __future__ import annotations
 import copy
 import math
 from fractions import Fraction
+from operator import attrgetter
 from typing import Any
 
-from .phy import FrameConfig, Modulation, PhyProfile
+from .phy import FrameConfig, Modulation
 from .qos import SchedulingClass
 from .sched import SCHEDULER_NAMES
 
@@ -130,10 +131,10 @@ _UGS, _ERTPS, _RTPS, _NRTPS, _BE = (SchedulingClass.UGS, SchedulingClass.ERTPS,
 # bound, kinds, optional); rows may leave off kinds (None) and optional (False).
 # - section "" is the top level of the file.
 # - attribute is a path from the Scenario, or from the FlowSpec in "flows";
-#   "frame.phy.coding_rate" lands in the frame's PHY profile.
+#   "frame.coding_rate" lands in the frame's FrameConfig.
 # - default is the value of a missing key. A dict default depends on the
-#   flow: it is keyed by kind, else by class. The flow name defaults to
-#   "<kind>-ss<src>-ss<dst>".
+#   flow: it is keyed by kind, else by the class, whose row comes first. The
+#   flow name defaults to "<kind>-ss<src>-ss<dst>".
 # - bound is passed to the parser: a minimum for _int, (minimum, strict,
 #   maximum) for _float, an interval such as "[0, 1)" for _fraction.
 # - kinds lists the flow kinds that take the key (None: every kind). Other
@@ -147,9 +148,9 @@ FIELDS = tuple(row + (None, False)[len(row) - 6:] for row in (
     # dl_fraction in (0, 1) and ttg + rtg < frame duration: FrameConfig checks
     ("frame", "dl_fraction", "frame.dl_fraction", _fraction, Fraction(1, 2), None),
     ("frame", "channel_bandwidth_hz", "frame.channel_bandwidth_hz", _int, 20_000_000, 1),
-    ("frame", "modulation", "frame.phy.modulation", _modulation, Modulation.QAM64, None),
-    ("frame", "coding_rate", "frame.phy.coding_rate", _fraction, Fraction(3, 4), "(0, 1]"),
-    ("frame", "efficiency_factor", "frame.phy.efficiency_factor", _fraction, Fraction(4, 5),
+    ("frame", "modulation", "frame.modulation", _modulation, Modulation.QAM64, None),
+    ("frame", "coding_rate", "frame.coding_rate", _fraction, Fraction(3, 4), "(0, 1]"),
+    ("frame", "efficiency_factor", "frame.efficiency_factor", _fraction, Fraction(4, 5),
      "(0, 1]"),
     ("frame", "map_overhead_fraction", "map_overhead_fraction", _fraction, Fraction(1, 50),
      "[0, 1)"),
@@ -209,20 +210,6 @@ _KEYS = {section: {row[1] for row in rows} for section, rows in _SECTIONS.items(
 _KEYS["scenario"] = _KEYS.pop("") | (set(_SECTIONS) - {""})
 _FLOW_KEYS = {kind: {row[1] for row in _SECTIONS["flows"] if row[6] is None or kind in row[6]}
               for kind in TRAFFIC_KINDS}
-_DEFAULTS = {row[2]: row[4] for row in FIELDS if row[0] != "flows"}
-_FLOW_ROWS = {row[1]: row for row in _SECTIONS["flows"]}  # key -> row
-_FLOW_ORDER = {key: i for i, key in enumerate(_FLOW_ROWS)}  # key -> its place in the table
-_FLOW_REQUIRED = {key for key, row in _FLOW_ROWS.items() if row[4] is REQUIRED}
-# Per kind: attribute -> default of each row whose default does not depend on
-# the class, and (key, attribute, default by class) of each row whose does.
-_FLOW_DEFAULTS: dict[str, dict[str, Any]] = {kind: {} for kind in TRAFFIC_KINDS}
-_FLOW_BY_CLASS: dict[str, list[tuple]] = {kind: [] for kind in TRAFFIC_KINDS}
-for _kind in TRAFFIC_KINDS:
-    for _, _key, _attribute, _, _default, _, _, _ in _FLOW_ROWS.values():
-        if type(_default) is dict and _kind not in _default:
-            _FLOW_BY_CLASS[_kind].append((_key, _attribute, _default))
-        elif _default is not REQUIRED:
-            _FLOW_DEFAULTS[_kind][_attribute] = _default[_kind] if type(_default) is dict else _default
 
 
 def _check_keys(d: Any, allowed: set[str], path: str) -> None:
@@ -233,28 +220,20 @@ def _check_keys(d: Any, allowed: set[str], path: str) -> None:
             raise ScenarioError(f"unknown key {path}.{key!r}")
 
 
-def _parse_rows(rows: list[tuple], d: dict, path: str) -> dict[str, Any]:
-    """Attribute to value for each row: parsed from mapping d, else the default."""
+def _parse(rows: list[tuple], d: dict, path: str, kind: str = "") -> dict[str, Any]:
+    """Attribute to value for each row, walked in table order: parsed from
+    mapping d, else the default, which for a flow may depend on its kind or
+    on the class parsed before it."""
     values: dict[str, Any] = {}
     for _, key, attribute, parse, default, bound, _, _ in rows:
-        values[attribute] = (parse(d[key], f"{path}.{key}" if path else key, bound)
-                             if key in d else default)
-    return values
-
-
-def _parse_flow(d: dict, kind: str, path: str) -> dict[str, Any]:
-    """Attribute to value for each row of a flow of `kind` whose keys d has
-    passed `_check_keys`: the keys given are parsed in table order, and the
-    others take their default, which may depend on the flow's class."""
-    values = dict(_FLOW_DEFAULTS[kind])
-    for key in sorted(d.keys() | _FLOW_REQUIRED, key=_FLOW_ORDER.__getitem__):
-        if key not in d:
+        if key in d:
+            values[attribute] = parse(d[key], f"{path}.{key}" if path else key, bound)
+        elif default is REQUIRED:
             raise ScenarioError(f"{path}: flow needs src and dst station ids")
-        _, _, attribute, parse, _, bound, _, _ = _FLOW_ROWS[key]
-        values[attribute] = parse(d[key], f"{path}.{key}", bound)
-    for key, attribute, default in _FLOW_BY_CLASS[kind]:
-        if key not in d:
-            values[attribute] = default[values["cls"]]
+        elif type(default) is dict:
+            values[attribute] = default[kind] if kind in default else default[values["cls"]]
+        else:
+            values[attribute] = default
     return values
 
 
@@ -262,9 +241,7 @@ def _dump_rows(obj: Any, rows: list[tuple], kind: str = "") -> dict[str, Any]:
     """Key to written value for each row that kind takes."""
     d = {}
     for _, key, attribute, _, default, _, kinds, optional in rows:
-        value = obj
-        for name in attribute.split("."):
-            value = getattr(value, name)
+        value = attrgetter(attribute)(obj)
         if (kinds is None or kind in kinds) and not (optional and value == default):
             dump = _DUMP.get(type(value))
             d[key] = value if dump is None else dump(value)
@@ -280,7 +257,7 @@ class Section:
 
 
 # class of the object named by the first part of a dotted attribute path
-_PARTS = {"frame": FrameConfig, "phy": PhyProfile, "contention": Section}
+_PARTS = {"frame": FrameConfig, "contention": Section}
 
 
 def _attributes(values: dict[str, Any]) -> dict[str, Any]:
@@ -296,7 +273,7 @@ def _attributes(values: dict[str, Any]) -> dict[str, Any]:
             direct[head] = value
     for head, sub in parts.items():
         try:
-            direct[head] = _PARTS[head](**_attributes(sub))
+            direct[head] = _PARTS[head](**sub)
         except ValueError as e:
             raise ScenarioError(f"{head}: {e}")
     return direct
@@ -314,7 +291,7 @@ class FlowSpec(Section):
             raise ScenarioError(f"{path}.kind: expected one of {TRAFFIC_KINDS}, got {kind!r}")
         _check_keys(d, _FLOW_KEYS[kind], path)
         spec = cls.__new__(cls)
-        spec.__dict__ = _parse_flow(d, kind, path)  # a fresh dict: no copy needed
+        spec.__dict__ = _parse(_SECTIONS["flows"], d, path, kind)  # a fresh dict: no copy needed
         if spec.name is None:
             spec.name = f"{kind}-ss{spec.src}-ss{spec.dst}"
         return spec
@@ -331,7 +308,8 @@ class Scenario:
     """A whole cell: every attribute named in FIELDS, plus the flow list."""
 
     def __init__(self):
-        self.__dict__.update(_attributes(_DEFAULTS))
+        self.__dict__.update(_attributes(_parse([row for row in FIELDS if row[0] != "flows"],
+                                                {}, "")))
         self.flows: list[FlowSpec] = []
 
     def validate(self) -> None:
@@ -396,7 +374,7 @@ class Scenario:
                 sub = (d.get(section, {}) or {}) if section else d
                 if section:
                     _check_keys(sub, _KEYS[section], section)
-                values.update(_parse_rows(rows, sub, section))
+                values.update(_parse(rows, sub, section))
         flows = d.get("flows", []) or []
         if not isinstance(flows, list):
             raise ScenarioError("flows: must be a list")

@@ -99,24 +99,23 @@ class SubscriberStation:
 
     def on_map(self, run, ul_map: UlMap, n: int, ul_start: int) -> None:
         ss_id = self.ss_id
-        # the map lists each station's IEs together, in offset order
+        # build_ul_map lists a station's DATA IEs back to back, ahead of its
+        # polls: one data window from the offset of the first
         mine = [ie for ie in ul_map.ies if ie.ss_id == ss_id]
         sent_data = False
         polled = []
         if mine:
-            windows: list[list[int]] = []  # contiguous data grants as [offset, length]
+            length = 0
             polls = []
             for ie in mine:
                 if ie.kind is GrantKind.POLL:
                     polls.append(ie)
-                elif windows and windows[-1][0] + windows[-1][1] == ie.offset_bytes:
-                    windows[-1][1] += ie.grant_bytes
                 else:
-                    windows.append([ie.offset_bytes, ie.grant_bytes])
-            for offset, length in windows:
+                    length += ie.grant_bytes
+            if len(polls) < len(mine):
                 served = transmit(run, self.local_sched, n, Direction.UPLINK, ul_start,
-                                  offset, length, run.uplink_arrival)
-                sent_data = sent_data or served > 0
+                                  mine[0].offset_bytes, length, run.uplink_arrival)
+                sent_data = served > 0
                 run.metrics.record_unused_grant(length - served)
             for ie in polls:
                 backlog = self.local_sched.backlog_bytes(ie.cid)

@@ -2,12 +2,14 @@ from fractions import Fraction
 
 import pytest
 
+from pmpsim import load_scenario, run_scenario
 from pmpsim.bwreq import (BandwidthManager, BwRequest, ContentionState,
                           OversubscribedUgsError)
 from pmpsim.kernel import RandomSource
-from pmpsim.phy import Direction, FrameConfig, GrantKind, PhyProfile, validate_map
+from pmpsim.phy import Direction, FrameConfig, GrantKind, validate_map
 from pmpsim.qos import Connection, SchedulingClass
-from pmpsim.sched import WfqScheduler, make_scheduler
+from pmpsim.sched import SCHEDULER_NAMES, WfqScheduler, make_scheduler
+from test_golden import wide_cell
 
 
 def make_manager(cfg=None, scheduler=None):
@@ -130,6 +132,34 @@ def test_build_map_equal_weight_split_when_budget_binds():
     assert abs(grants[1] - grants[2]) <= 1500
     assert budget - 1500 <= grants[1] + grants[2] <= budget
     assert validate_map(m, bw.cfg) is None
+
+
+def test_station_data_ies_contiguous_and_before_polls():
+    # on_map sends all of a station's data in one window from its first DATA
+    # IE, so the IEs of that window must tile it and no poll may split it
+    cells = [wide_cell("wfq")]
+    for name in ("paper-pmp", "paper-pmp-literal"):
+        for scheduler in SCHEDULER_NAMES:
+            sc = load_scenario(name)
+            sc.scheduler_bs = sc.scheduler_ss = scheduler
+            sc.duration_us = 10_000_000
+            cells.append(sc)
+    with_polls = with_two_grants = 0
+    for sc in cells:
+        for m in run_scenario(sc, record_audit=True).ul_maps:
+            by_station = {}
+            for ie in m.ies:
+                by_station.setdefault(ie.ss_id, []).append(ie)
+            for ies in by_station.values():
+                data = [ie for ie in ies if ie.kind is GrantKind.DATA]
+                assert ies[:len(data)] == data, (sc.name, m.frame_index, ies)
+                for a, b in zip(data, data[1:]):
+                    assert b.offset_bytes == a.offset_bytes + a.grant_bytes, (sc.name, ies)
+                with_polls += 0 < len(data) < len(ies)
+                with_two_grants += len(data) > 1
+    # the layout is exercised: a station with data and polls in one map, and
+    # one with two data grants (station 4 of paper-pmp-literal sources two flows)
+    assert with_polls and with_two_grants
 
 
 def test_outstanding_tracks_grants():

@@ -191,6 +191,8 @@ def _binary_file(tmp_path):
     (_run(name="a,b"), "name: must not contain a comma"),
     (_run(name="a\nb"), "name: must not contain a comma"),
     (_run(flows=[{"kind": "ftp", "src": 1, "dst": 2}] * 32_768), "flows: at most 32767 flows"),
+    (_run(flows=[{"kind": "ftp", "dst": 2}]), "flows[0]: flow needs src and dst"),
+    (_run(flows=[{"kind": "voice", "src": 1}]), "flows[0]: flow needs src and dst"),
     (lambda tmp_path: ["validate", "--scenario", str(tmp_path)], ": cannot read: "),
     (_binary_file, "binary.yaml: cannot read: "),
     (lambda tmp_path: ["compare", "--scenario", tiny_file(tmp_path), "--seeds", "1,x",
@@ -208,6 +210,13 @@ def _binary_file(tmp_path):
                        "--out-dir", str(tmp_path / "cmp")], "--seeds: 1 is given twice"),
     (lambda tmp_path: ["compare", "--scenario", tiny_file(tmp_path), "--seeds", "1",
                        "--out-dir", tiny_file(tmp_path)], "--out-dir: cannot create"),
+    # a seed a file's run.seed would reject: Random(-3) draws as Random(3) does
+    (lambda tmp_path: ["run", "--scenario", tiny_file(tmp_path), "--seed", "-3",
+                       "--out", str(tmp_path / "x.csv")], "--seed: must be >= 0, got -3"),
+    (lambda tmp_path: ["run", "--scenario", tiny_file(tmp_path), "--seed", str(2**53 + 1),
+                       "--out", str(tmp_path / "x.csv")], "--seed: must be <= "),
+    (lambda tmp_path: ["compare", "--scenario", tiny_file(tmp_path), "--seeds=-1,2",
+                       "--out-dir", str(tmp_path / "cmp")], "--seeds: must be >= 0, got -1"),
     (_compare_into("run_wfq_seed1.csv"), "--out-dir: cannot write "),
     (_compare_into("comparison.csv"), "comparison.csv: Is a directory"),
     (_compare_into("report.txt"), "report.txt: Is a directory"),
@@ -215,15 +224,33 @@ def _binary_file(tmp_path):
         "frame-not-mapping", "sigma-huge", "rate-subnormal", "page-bytes-huge",
         "voice-period-zero", "stop-before-start", "page-mean-over-max", "coding-rate-zero",
         "efficiency-negative", "name-comma",
-        "name-newline", "too-many-flows", "scenario-is-directory", "scenario-not-text",
+        "name-newline", "too-many-flows", "flow-no-src", "flow-no-dst",
+        "scenario-is-directory", "scenario-not-text",
         "seed-not-integer", "run-out-no-directory", "run-out-is-directory",
         "print-out-no-directory", "compare-scheduler-twice", "compare-seed-twice",
-        "compare-out-dir-is-file", "compare-run-csv-is-directory",
+        "compare-out-dir-is-file", "seed-negative", "seed-too-large", "compare-seed-negative",
+        "compare-run-csv-is-directory",
         "compare-grid-is-directory", "compare-report-is-directory"])
 def test_bad_scenario_exit_1_with_path(tmp_path, capsys, argv, path):
     assert run_cli(*argv(tmp_path)) == 1
     err = capsys.readouterr().err
     assert err.startswith("scenario error: ") and path in err, err
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["run", "--seed", "abc"], "argument --seed: invalid int value: 'abc'"),
+    (["run", "--bs-scheduler", "edf"], "argument --bs-scheduler: invalid choice: 'edf'"),
+    (["simulate"], "argument command: invalid choice: 'simulate'"),
+    ([], "the following arguments are required: command"),
+    (["run", "--no-such-flag"], "unrecognized arguments: --no-such-flag"),
+], ids=["seed-not-integer", "scheduler-unknown", "command-unknown", "command-missing",
+        "flag-unknown"])
+def test_command_line_error_exit_1(capsys, argv, message):
+    # exit 2 is reserved for runtime invariant violations
+    with pytest.raises(SystemExit) as exit_info:
+        run_cli(*argv)
+    assert exit_info.value.code == 1
+    assert message in capsys.readouterr().err
 
 
 def test_run_checks_out_path_before_running(tmp_path, monkeypatch):

@@ -143,11 +143,11 @@ def test_every_key_cell_csv_digest_unchanged():
 
 @pytest.mark.parametrize("name,expected", PRINT_GOLDEN, ids=[g[0] for g in PRINT_GOLDEN])
 def test_print_scenario_digest_unchanged(tmp_path, capsys, name, expected):
-    trees = {"wide-40ss": lambda: wide_tree("wfq"), "every-key": lambda: EVERY_KEY}
+    trees = {"wide-40ss": wide_tree("wfq"), "every-key": EVERY_KEY}
     scenario = name
     if name in trees:
         scenario = str(tmp_path / f"{name}.yaml")
         with open(scenario, "w") as fh:
-            yaml.safe_dump(trees[name](), fh)
+            yaml.safe_dump(trees[name], fh)
     assert main(["print-scenario", "--scenario", scenario]) == 0
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == expected

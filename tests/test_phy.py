@@ -2,8 +2,8 @@ from fractions import Fraction
 
 import pytest
 
-from pmpsim.phy import (Direction, FrameConfig, GrantKind, MapIE, Modulation,
-                        PhyProfile, UlMap, validate_map)
+from pmpsim.phy import (Direction, FrameConfig, GrantKind, MapIE, Modulation, UlMap,
+                        validate_map)
 
 
 def make_cfg(**kw):
@@ -21,7 +21,8 @@ def test_subframe_capacity_exact_arithmetic():
     cfg = make_cfg(
         frame_duration_us=10_200, ttg_us=100, rtg_us=100,
         dl_fraction=Fraction(1, 2), channel_bandwidth_hz=2_000_000,
-        phy=PhyProfile(Modulation.QAM16, Fraction(1, 1), Fraction(1, 1)))
+        modulation=Modulation.QAM16, coding_rate=Fraction(1, 1),
+        efficiency_factor=Fraction(1, 1))
     assert cfg.bit_rate == 8_000_000
     assert cfg.ul_subframe_us == 5_000
     assert cfg.subframe_capacity_bytes(Direction.UPLINK) == 5_000

@@ -104,7 +104,7 @@ def test_fraction_keys_accept_strings_and_floats(tmp_path):
         "flows": [{"kind": "ftp", "src": 1, "dst": 2}]}))
     sc = load_scenario(str(path))
     assert sc.frame.dl_fraction == Fraction(3, 4)
-    assert sc.frame.phy.efficiency_factor == Fraction(4, 5)
+    assert sc.frame.efficiency_factor == Fraction(4, 5)
 
 
 def test_yaml_roundtrip_preserves_scenario():
@@ -166,6 +166,26 @@ def test_modulation_selectable(tmp_path):
     sc = load_scenario(str(path))
     # 20 MHz x 4 bits x 3/4 x 4/5
     assert sc.frame.bit_rate == 48_000_000
+
+
+def test_class_sets_weight_and_interval_kind_sets_rate_and_packet():
+    # a flow's class picks weight and grant_interval_us;
+    # its kind picks rate_bps and packet_bytes, whatever its class
+    weight = {"UGS": 8, "ertPS": 8, "rtPS": 6, "nrtPS": 2, "BE": 1}
+    interval = {"UGS": 12_500, "ertPS": 12_500, "rtPS": 12_500,
+                "nrtPS": 1_000_000, "BE": 1_000_000}
+    rate = {"voice": 64_000, "voip_silence": 64_000, "ftp": 2_000_000, "video": 0, "http": 0}
+    packet = {"voice": 100, "voip_silence": 100, "ftp": 1500, "video": 1500, "http": 1500}
+    for kind in TRAFFIC_KINDS:
+        for cls in SchedulingClass:
+            sc = Scenario.from_dict({"flows": [{"kind": kind, "src": 1, "dst": 2,
+                                                "class": cls.value}]})
+            f = sc.flows[0]
+            assert (f.cls, f.weight, f.grant_interval_us, f.rate_bps, f.packet_bytes) == (
+                cls, weight[cls.value], interval[cls.value], rate[kind], packet[kind]), (kind, cls)
+    voice = Scenario.from_dict({"flows": [{"kind": "voice", "src": 1, "dst": 2,
+                                           "class": "BE"}]}).flows[0]
+    assert (voice.weight, voice.grant_interval_us, voice.rate_bps) == (1, 1_000_000, 64_000)
 
 
 def test_max_window_must_sit_on_backoff_lattice(tmp_path):
