@@ -11,7 +11,6 @@ residue becomes the contention window.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from operator import itemgetter
 from typing import Optional
 
@@ -25,20 +24,22 @@ class OversubscribedUgsError(RuntimeError):
     """Fixed unsolicited grants alone exceed the uplink capacity."""
 
 
-@dataclass
 class BwRequest:
-    cid: int
-    bytes_requested: int
+    def __init__(self, cid: int, bytes_requested: int):
+        self.cid = cid
+        self.bytes_requested = bytes_requested
 
 
-@dataclass
 class ContentionState:
-    ss_id: int
-    min_window: int = 8
-    max_window: int = 1024
-    window: int = 8
-    pending: Optional[BwRequest] = None
-    backoff_remaining: Optional[int] = None  # None = not yet drawn
+    def __init__(self, ss_id: int, min_window: int = 8, max_window: int = 1024,
+                 window: int = 8, pending: Optional[BwRequest] = None,
+                 backoff_remaining: Optional[int] = None):
+        self.ss_id = ss_id
+        self.min_window = min_window
+        self.max_window = max_window
+        self.window = window
+        self.pending = pending
+        self.backoff_remaining = backoff_remaining  # None = not yet drawn
 
 
 class BandwidthManager:

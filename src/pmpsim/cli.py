@@ -1,9 +1,9 @@
 """Command-line surface: run, compare, validate, print-scenario.
 
 Exit codes: 0 success, 1 scenario error or bad command-line input (an unknown
-command or flag, a value argparse rejects, a seed outside the range of a file's
-run.seed, an output path that cannot be written, a scheduler or seed given
-twice), 2 runtime invariant violation.
+command or flag, a value argparse rejects, a seed or duration outside the range
+of a file's run.seed or run.duration_us, an output path that cannot be written,
+a scheduler or seed given twice), 2 runtime invariant violation.
 """
 
 from __future__ import annotations
@@ -11,14 +11,14 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Optional
 
 from .bwreq import OversubscribedUgsError
 from .engine import ConservationError, run_scenario
 from .metrics import read_summary_csv
 from .phy import IllegalMapError
-from .scenario import FIELDS, Scenario, ScenarioError, load_scenario
+from .scenario import FIELDS, INT_MAX, Scenario, ScenarioError, load_scenario
 from .sched import SCHEDULER_NAMES
 
 VERDICT_METRICS = (
@@ -28,13 +28,15 @@ VERDICT_METRICS = (
 )
 
 
-@dataclass
 class ComparisonReport:
-    scenario: str
-    schedulers: list[str]
-    seeds: list[int]
-    values: dict = field(default_factory=dict)  # (scheduler, seed, scope, metric) -> value
-    verdicts: list[str] = field(default_factory=list)
+    def __init__(self, scenario: str, schedulers: list[str], seeds: list[int],
+                 values: Optional[dict] = None, verdicts: Optional[list[str]] = None):
+        self.scenario = scenario
+        self.schedulers = schedulers
+        self.seeds = seeds
+        # (scheduler, seed, scope, metric) -> value
+        self.values = {} if values is None else values
+        self.verdicts = [] if verdicts is None else verdicts
 
     def render(self) -> str:
         lines = [f"comparison on {self.scenario} "
@@ -79,12 +81,21 @@ def _seed(flag: str, value: int) -> int:
     return parse(value, flag, bound)
 
 
+def _duration(value: int) -> int:
+    """--duration in seconds, as microseconds held to the bounds of a file's
+    run.duration_us."""
+    most = INT_MAX // 1_000_000
+    if not 1 <= value <= most:
+        raise ScenarioError(f"--duration: must lie in 1..{most} seconds, got {value}")
+    return value * 1_000_000
+
+
 def _load(args) -> Scenario:
     sc = load_scenario(args.scenario)
     if getattr(args, "seed", None) is not None:
         sc.seed = _seed("--seed", args.seed)
     if getattr(args, "duration", None) is not None:
-        sc.duration_us = args.duration * 1_000_000
+        sc.duration_us = _duration(args.duration)
     if getattr(args, "bs_scheduler", None):
         sc.scheduler_bs = args.bs_scheduler
     if getattr(args, "ss_scheduler", None):

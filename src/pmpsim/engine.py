@@ -10,7 +10,6 @@ table share: an uplink arrival joins the BS relay queue of the same cid.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import IO, Optional
 
 from .bwreq import BandwidthManager, ContentionState
@@ -25,14 +24,16 @@ from .stations import BaseStation, SubscriberStation, TransmissionRecord
 from .traffic import Emitter
 
 
-@dataclass
 class RunResult:
-    meta: RunMeta
-    summary: RunSummary
-    series: list[MetricSeries]
-    dispatched: int
-    audit: Optional[list[TransmissionRecord]] = None
-    ul_maps: Optional[list[UlMap]] = None
+    def __init__(self, meta: RunMeta, summary: RunSummary, series: list[MetricSeries],
+                 dispatched: int, audit: Optional[list[TransmissionRecord]] = None,
+                 ul_maps: Optional[list[UlMap]] = None):
+        self.meta = meta
+        self.summary = summary
+        self.series = series
+        self.dispatched = dispatched
+        self.audit = audit
+        self.ul_maps = ul_maps
 
     def write_csv(self, fh: IO[str]) -> None:
         emit_csv(fh, self.meta, self.series, self.summary)

@@ -9,8 +9,7 @@ delay through the relay.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import IO, Iterator
+from typing import IO, Iterator, Optional
 
 from .qos import MacSdu
 
@@ -32,35 +31,46 @@ def flow_scope(cid: int) -> str:
     return f"flow_{cid:05d}"
 
 
-@dataclass
 class RunMeta:
-    scenario: str
-    scheduler_bs: str
-    scheduler_ss: str
-    seed: int
+    def __init__(self, scenario: str, scheduler_bs: str, scheduler_ss: str, seed: int):
+        self.scenario = scenario
+        self.scheduler_bs = scheduler_bs
+        self.scheduler_ss = scheduler_ss
+        self.seed = seed
 
 
-@dataclass
 class MetricSeries:
-    name: str
-    scope: str
-    samples: list[tuple[int, float]] = field(default_factory=list)  # (bucket_start_us, value)
+    def __init__(self, name: str, scope: str,
+                 samples: Optional[list[tuple[int, float]]] = None):
+        self.name = name
+        self.scope = scope
+        self.samples = [] if samples is None else samples  # (bucket_start_us, value)
 
 
-@dataclass
 class RunSummary:
-    means: dict[tuple[str, str], float] = field(default_factory=dict)
-    delay_var: dict[str, float] = field(default_factory=dict)
-    generated_packets: dict[str, int] = field(default_factory=dict)
-    generated_bytes: dict[str, int] = field(default_factory=dict)
-    delivered_packets: dict[str, int] = field(default_factory=dict)
-    delivered_bytes: dict[str, int] = field(default_factory=dict)
-    dropped_packets: dict[str, int] = field(default_factory=dict)
-    dropped_bytes: dict[str, int] = field(default_factory=dict)
-    queued_packets_end: dict[str, int] = field(default_factory=dict)
-    queued_bytes_end: dict[str, int] = field(default_factory=dict)
-    unused_grant_bytes: int = 0
-    collisions: int = 0
+    def __init__(self, means: Optional[dict[tuple[str, str], float]] = None,
+                 delay_var: Optional[dict[str, float]] = None,
+                 generated_packets: Optional[dict[str, int]] = None,
+                 generated_bytes: Optional[dict[str, int]] = None,
+                 delivered_packets: Optional[dict[str, int]] = None,
+                 delivered_bytes: Optional[dict[str, int]] = None,
+                 dropped_packets: Optional[dict[str, int]] = None,
+                 dropped_bytes: Optional[dict[str, int]] = None,
+                 queued_packets_end: Optional[dict[str, int]] = None,
+                 queued_bytes_end: Optional[dict[str, int]] = None,
+                 unused_grant_bytes: int = 0, collisions: int = 0):
+        self.means = {} if means is None else means
+        self.delay_var = {} if delay_var is None else delay_var
+        self.generated_packets = {} if generated_packets is None else generated_packets
+        self.generated_bytes = {} if generated_bytes is None else generated_bytes
+        self.delivered_packets = {} if delivered_packets is None else delivered_packets
+        self.delivered_bytes = {} if delivered_bytes is None else delivered_bytes
+        self.dropped_packets = {} if dropped_packets is None else dropped_packets
+        self.dropped_bytes = {} if dropped_bytes is None else dropped_bytes
+        self.queued_packets_end = {} if queued_packets_end is None else queued_packets_end
+        self.queued_bytes_end = {} if queued_bytes_end is None else queued_bytes_end
+        self.unused_grant_bytes = unused_grant_bytes
+        self.collisions = collisions
 
 
 class ConservationError(RuntimeError):

@@ -8,7 +8,6 @@ subframe durations; grants are denominated in bytes, not slots.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property
@@ -29,25 +28,34 @@ class Direction(Enum):
     UPLINK = "uplink"
 
 
-@dataclass(frozen=True)
 class FrameConfig:
-    frame_duration_us: int = 12_500
-    ttg_us: int = 106
-    rtg_us: int = 60
-    dl_fraction: Fraction = Fraction(1, 2)
-    channel_bandwidth_hz: int = 20_000_000
-    modulation: Modulation = Modulation.QAM64
-    coding_rate: Fraction = Fraction(3, 4)
-    # pilot/guard/preamble overhead estimate; configuration, not ground truth
-    efficiency_factor: Fraction = Fraction(4, 5)
+    """Frame geometry and PHY rate. Immutable: the cached properties below
+    are computed once from the fields."""
 
-    def __post_init__(self):
-        if self.ttg_us + self.rtg_us >= self.frame_duration_us:
+    def __init__(self, frame_duration_us: int = 12_500, ttg_us: int = 106, rtg_us: int = 60,
+                 dl_fraction: Fraction = Fraction(1, 2),
+                 channel_bandwidth_hz: int = 20_000_000,
+                 modulation: Modulation = Modulation.QAM64,
+                 coding_rate: Fraction = Fraction(3, 4),
+                 # pilot/guard/preamble overhead estimate; configuration, not ground truth
+                 efficiency_factor: Fraction = Fraction(4, 5)):
+        if ttg_us + rtg_us >= frame_duration_us:
             raise ValueError("ttg + rtg must be smaller than the frame duration")
-        if not (0 < self.dl_fraction < 1):
+        if not (0 < dl_fraction < 1):
             raise ValueError("dl_fraction must lie in (0, 1)")
-        if self.channel_bandwidth_hz <= 0:
+        if channel_bandwidth_hz <= 0:
             raise ValueError("channel bandwidth must be positive")
+        self.__dict__.update(
+            frame_duration_us=frame_duration_us, ttg_us=ttg_us, rtg_us=rtg_us,
+            dl_fraction=dl_fraction, channel_bandwidth_hz=channel_bandwidth_hz,
+            modulation=modulation, coding_rate=coding_rate,
+            efficiency_factor=efficiency_factor)
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"FrameConfig is immutable; cannot set {name}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"FrameConfig is immutable; cannot delete {name}")
 
     @cached_property
     def usable_us(self) -> int:
@@ -87,21 +95,25 @@ class GrantKind(Enum):
     POLL = "unicast-poll"
 
 
-@dataclass(slots=True)
 class MapIE:
-    cid: int
-    ss_id: int
-    offset_bytes: int
-    grant_bytes: int
-    kind: GrantKind
+    __slots__ = ("cid", "ss_id", "offset_bytes", "grant_bytes", "kind")
+
+    def __init__(self, cid: int, ss_id: int, offset_bytes: int, grant_bytes: int,
+                 kind: GrantKind):
+        self.cid = cid
+        self.ss_id = ss_id
+        self.offset_bytes = offset_bytes
+        self.grant_bytes = grant_bytes
+        self.kind = kind
 
 
-@dataclass
 class UlMap:
-    frame_index: int
-    ies: list[MapIE] = field(default_factory=list)
-    contention_offset: int = 0
-    contention_bytes: int = 0
+    def __init__(self, frame_index: int, ies: Optional[list[MapIE]] = None,
+                 contention_offset: int = 0, contention_bytes: int = 0):
+        self.frame_index = frame_index
+        self.ies = [] if ies is None else ies
+        self.contention_offset = contention_offset
+        self.contention_bytes = contention_bytes
 
 
 class IllegalMapError(RuntimeError):

@@ -16,8 +16,8 @@ from fractions import Fraction
 from operator import attrgetter
 from typing import Any
 
-from .phy import FrameConfig, Modulation
-from .qos import SchedulingClass
+from .phy import Direction, FrameConfig, Modulation
+from .qos import RequestMode, SchedulingClass, requires_request, talk_grant_bytes
 from .sched import SCHEDULER_NAMES
 
 TRAFFIC_KINDS = ("ftp", "video", "http", "voip_silence", "voice")
@@ -338,6 +338,11 @@ class Scenario:
                 f"flows: at most {MAX_FLOWS} flows fit 16-bit connection ids, "
                 f"got {len(self.flows)}")
         seen = set()
+        # every frame's unsolicited grants must fit the uplink: a flow granted
+        # every grant_interval_us gets at most ceil(frame / interval) grants in
+        # one frame, and a silent ertPS flow keeps a request-sized grant
+        capacity = self.frame.subframe_capacity_bytes(Direction.UPLINK)
+        unsolicited = 0
         for i, f in enumerate(self.flows):
             path = f"flows[{i}]"
             for station, label in ((f.src, "src"), (f.dst, "dst")):
@@ -360,6 +365,15 @@ class Scenario:
                     f"{path}: packet_bytes at rate_bps leaves under 1 us between packets")
             if f.mean_page_bytes > f.max_page_bytes:
                 raise ScenarioError(f"{path}: mean_page_bytes must not exceed max_page_bytes")
+            if requires_request(f.cls) is RequestMode.UNSOLICITED:
+                grant = talk_grant_bytes(f.grant_interval_us, f.rate_bps, f.packet_bytes)
+                if f.cls is SchedulingClass.ERTPS:
+                    grant = max(grant, self.contention.request_bytes)
+                unsolicited += grant * -(-self.frame.frame_duration_us // f.grant_interval_us)
+                if unsolicited > capacity:
+                    raise ScenarioError(
+                        f"{path}: unsolicited grants need up to {unsolicited} B a frame "
+                        f"but uplink capacity is {capacity} B")
 
     # ----------------------------------------------------------------- I/O
 

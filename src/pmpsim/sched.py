@@ -17,27 +17,30 @@ import bisect
 import heapq
 import math
 from collections import deque
-from dataclasses import dataclass, field
-from typing import Any
+from typing import Any, Optional
 
 SCHEDULER_NAMES = ("wfq", "dwrr", "wrr", "fifo")
 
 
-@dataclass(slots=True)
 class QueuedPacket:
-    pid: int
-    size: int
-    tag: Any = 0  # service key of the min-tag loop; the rotation loop ignores it
-    payload: Any = None
+    __slots__ = ("pid", "size", "tag", "payload")
+
+    def __init__(self, pid: int, size: int, tag: Any = 0, payload: Any = None):
+        self.pid = pid
+        self.size = size
+        self.tag = tag  # service key of the min-tag loop; the rotation loop ignores it
+        self.payload = payload
 
 
-@dataclass
 class ServiceDecision:
     """A maximal consecutive run of packets served from one queue."""
-    cid: int
-    bytes: int
-    packet_ids: list[int]
-    payloads: list[Any] = field(default_factory=list)
+
+    def __init__(self, cid: int, bytes: int, packet_ids: list[int],
+                 payloads: Optional[list[Any]] = None):
+        self.cid = cid
+        self.bytes = bytes
+        self.packet_ids = packet_ids
+        self.payloads = [] if payloads is None else payloads
 
 
 class SchedulableQueue:

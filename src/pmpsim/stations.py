@@ -10,7 +10,6 @@ and downlink scheduling.
 from __future__ import annotations
 
 import bisect
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .bwreq import BwRequest
@@ -19,14 +18,17 @@ from .qos import Connection, RequestMode, SchedulingClass
 from .sched import PacketScheduler, SchedulableQueue
 
 
-@dataclass(slots=True)
 class TransmissionRecord:
-    frame_index: int
-    direction: Direction
-    cid: int
-    nbytes: int
-    start_us: int
-    end_us: int
+    __slots__ = ("frame_index", "direction", "cid", "nbytes", "start_us", "end_us")
+
+    def __init__(self, frame_index: int, direction: Direction, cid: int, nbytes: int,
+                 start_us: int, end_us: int):
+        self.frame_index = frame_index
+        self.direction = direction
+        self.cid = cid
+        self.nbytes = nbytes
+        self.start_us = start_us
+        self.end_us = end_us
 
 
 def transmit(run, sched: PacketScheduler, n: int, direction: Direction, subframe_start: int,

@@ -105,17 +105,15 @@ def test_compare_repeatable(tmp_path):
     assert (d1 / "comparison.csv").read_bytes() == (d2 / "comparison.csv").read_bytes()
 
 
-def test_oversubscribed_ugs_exit_2(tmp_path):
-    path = tmp_path / "over.yaml"
-    path.write_text(yaml.safe_dump({
-        "name": "over",
-        "stations": {"count": 2},
-        "flows": [{"kind": "voice", "src": 1, "dst": 2,
-                   "rate_bps": 500_000_000, "packet_bytes": 100}],
-        "run": {"duration_us": 1_000_000},
-    }))
-    assert run_cli("run", "--scenario", str(path), "--out",
-                   str(tmp_path / "x.csv")) == 2
+def test_oversubscribed_ugs_exit_2(tmp_path, monkeypatch, capsys):
+    # validate rejects a load whose unsolicited grants cannot fit (exit 1); the
+    # per-frame check still stops a run whose grants outgrow the uplink
+    issue = BandwidthManager.issue_unsolicited
+    monkeypatch.setattr(BandwidthManager, "issue_unsolicited",
+                        lambda self, now: issue(self, now) * 1000)
+    assert run_cli("run", "--out", str(tmp_path / "x.csv")) == 2
+    assert "unsolicited grants need" in capsys.readouterr().err
+    assert not (tmp_path / "x.csv").exists()
 
 
 def test_illegal_map_exit_2(tmp_path, monkeypatch, capsys):
@@ -217,6 +215,23 @@ def _binary_file(tmp_path):
                        "--out", str(tmp_path / "x.csv")], "--seed: must be <= "),
     (lambda tmp_path: ["compare", "--scenario", tiny_file(tmp_path), "--seeds=-1,2",
                        "--out-dir", str(tmp_path / "cmp")], "--seeds: must be >= 0, got -1"),
+    # a run.duration_us past 2^53, or none at all
+    (lambda tmp_path: ["run", "--scenario", tiny_file(tmp_path), "--duration", "99999999999999",
+                       "--out", str(tmp_path / "x.csv")], "--duration: must lie in 1..9007199254"),
+    (lambda tmp_path: ["run", "--scenario", tiny_file(tmp_path), "--duration", "0",
+                       "--out", str(tmp_path / "x.csv")], "--duration: must lie in 1.."),
+    (lambda tmp_path: ["compare", "--scenario", tiny_file(tmp_path), "--duration", "-2",
+                       "--out-dir", str(tmp_path / "cmp")], "--duration: must lie in 1.."),
+    # 40 Mb/s in 1000 B packets: 62500 B of grants a frame, past the uplink's 55503 B
+    (lambda tmp_path: ["validate", "--scenario", tiny_file(tmp_path, flows=[
+        {"kind": "voice", "src": 1, "dst": 2, "rate_bps": 40_000_000, "packet_bytes": 1000}])],
+     "flows[0]: unsolicited grants need up to 62500 B a frame but uplink capacity is 55503 B"),
+    # a silent ertPS flow keeps a grant of request_bytes, here above its talk grant of 100 B
+    (lambda tmp_path: ["validate", "--scenario", tiny_file(
+        tmp_path, stations={"count": 3}, contention={"request_bytes": 30_000},
+        flows=[{"kind": "voip_silence", "src": 1, "dst": 2},
+               {"kind": "voip_silence", "src": 2, "dst": 3}])],
+     "flows[1]: unsolicited grants need up to 60000 B a frame"),
     (_compare_into("run_wfq_seed1.csv"), "--out-dir: cannot write "),
     (_compare_into("comparison.csv"), "comparison.csv: Is a directory"),
     (_compare_into("report.txt"), "report.txt: Is a directory"),
@@ -229,6 +244,8 @@ def _binary_file(tmp_path):
         "seed-not-integer", "run-out-no-directory", "run-out-is-directory",
         "print-out-no-directory", "compare-scheduler-twice", "compare-seed-twice",
         "compare-out-dir-is-file", "seed-negative", "seed-too-large", "compare-seed-negative",
+        "duration-too-large", "duration-zero", "duration-negative", "unsolicited-over-capacity",
+        "ertps-silent-over-capacity",
         "compare-run-csv-is-directory",
         "compare-grid-is-directory", "compare-report-is-directory"])
 def test_bad_scenario_exit_1_with_path(tmp_path, capsys, argv, path):

@@ -50,6 +50,29 @@ def test_gaps_must_fit_in_frame():
         make_cfg(ttg_us=10_000, rtg_us=2_500)
 
 
+def test_frame_config_immutable():
+    # the cached geometry and rates are computed once from the fields
+    cfg = FrameConfig(dl_fraction=Fraction(1, 4), modulation=Modulation.QAM16)
+    assert (cfg.dl_fraction, cfg.modulation) == (Fraction(1, 4), Modulation.QAM16)
+    capacity = cfg.subframe_capacity_bytes(Direction.UPLINK)
+    with pytest.raises(AttributeError):
+        cfg.frame_duration_us = 25_000
+    with pytest.raises(AttributeError):
+        del cfg.ttg_us
+    assert cfg.frame_duration_us == 12_500
+    assert cfg.subframe_capacity_bytes(Direction.UPLINK) == capacity
+
+
+@pytest.mark.parametrize("fields,message", [
+    ({"dl_fraction": Fraction(0)}, "dl_fraction must lie in"),
+    ({"dl_fraction": Fraction(1)}, "dl_fraction must lie in"),
+    ({"channel_bandwidth_hz": 0}, "channel bandwidth must be positive"),
+], ids=["no-downlink", "no-uplink", "no-bandwidth"])
+def test_frame_config_checks(fields, message):
+    with pytest.raises(ValueError, match=message):
+        FrameConfig(**fields)
+
+
 def test_frame_boundaries_frame_zero():
     cfg = make_cfg()
     start, dl_start, ul_start, end = cfg.frame_boundaries(0)
