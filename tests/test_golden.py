@@ -2,9 +2,11 @@
 
 Each CSV digest is the SHA-256 of the CSV a short run writes: 5 s of a
 built-in 5-SS scenario, 2 s of a 40-SS cell whose BS schedulers hold 40
-queues, or 2 s of a cell that sets every scenario key away from its default. Each dump digest is the SHA-256 of what `print-scenario` writes. A
-change that alters any of them changes simulator output, and must say which
-digest and why.
+queues, or 2 s of a cell that sets every scenario key away from its default.
+Each dump digest is the SHA-256 of what `print-scenario` writes, and each
+compare digest that of the `report.txt` or `comparison.csv` a `compare` grid
+of 2 s `paper-pmp` runs writes. A change that alters any of them changes
+simulator output, and must say which digest and why.
 """
 
 import hashlib
@@ -93,6 +95,21 @@ PRINT_GOLDEN = [
     ("every-key", "d13b7593835aae3de09f131295fb90f8d18e9297ba752ba5bf300c7aa8887233"),
 ]
 
+# `compare --scenario paper-pmp --duration 2`; (schedulers, seeds,
+# report.txt SHA-256, comparison.csv SHA-256). The last grid lists a seed past
+# 9 after a smaller one, so its rows would change order if the grid were
+# sorted by the text of each row instead of by (scheduler, seed, scope, metric).
+COMPARE_GOLDEN = [
+    ("wfq,dwrr", "1,2,3", "f9649363025a231b12a4cfc4d30fc212aa7fc6466477890097c303dba6fd7743",
+     "95165c7df72fa5e913993b963c5706c4a448c2d63e9c0fd15280293700833b3a"),
+    ("wfq,dwrr,wrr,fifo", "1,2,3", "599814785907ff8e472b5424305de5eb17120ad065b8e07004a314b574711f63",
+     "d0aa5e6a20f8a680d6e116baf6283623a83591cef841fc9d14faa63fe46796b4"),
+    ("wfq,fifo", "7", "e2022a744b2b2146a0cdd6b6c8b418e86732ae3e1690b2f6dcf49c7082cc2afd",
+     "377085cd7d89843ae172ddd30c4b8e47a7770f13fd5ee24fd4b785ca381ea3d7"),
+    ("dwrr,wfq", "10,2", "5ab9b4dc2b78532024514a59f8efdc44543a215afd8fb1301f19a8a88c241aea",
+     "a72ad7339bf870ed8f91781b1f1eb6fdd6a1543cc5c65540e918c068082fdc39"),
+]
+
 
 def _digest(result) -> str:
     buf = io.StringIO()
@@ -151,3 +168,15 @@ def test_print_scenario_digest_unchanged(tmp_path, capsys, name, expected):
             yaml.safe_dump(trees[name], fh)
     assert main(["print-scenario", "--scenario", scenario]) == 0
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == expected
+
+
+@pytest.mark.parametrize("schedulers,seeds,report,grid", COMPARE_GOLDEN,
+                         ids=[f"{g[0]}-seeds{g[1]}" for g in COMPARE_GOLDEN])
+def test_compare_digests_unchanged(tmp_path, capsys, schedulers, seeds, report, grid):
+    assert main(["compare", "--scenario", "paper-pmp", "--duration", "2",
+                 "--schedulers", schedulers, "--seeds", seeds,
+                 "--out-dir", str(tmp_path)]) == 0
+    text = (tmp_path / "report.txt").read_bytes()
+    assert capsys.readouterr().out.encode() == text
+    assert hashlib.sha256(text).hexdigest() == report
+    assert hashlib.sha256((tmp_path / "comparison.csv").read_bytes()).hexdigest() == grid
