@@ -31,15 +31,13 @@ class BwRequest:
 
 
 class ContentionState:
-    def __init__(self, ss_id: int, min_window: int = 8, max_window: int = 1024,
-                 window: int = 8, pending: Optional[BwRequest] = None,
-                 backoff_remaining: Optional[int] = None):
+    def __init__(self, ss_id: int, min_window: int = 8, max_window: int = 1024):
         self.ss_id = ss_id
         self.min_window = min_window
         self.max_window = max_window
-        self.window = window
-        self.pending = pending
-        self.backoff_remaining = backoff_remaining  # None = not yet drawn
+        self.window = min_window
+        self.pending: Optional[BwRequest] = None
+        self.backoff_remaining: Optional[int] = None  # None = not yet drawn
 
 
 class BandwidthManager:

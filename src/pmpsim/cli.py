@@ -1,5 +1,7 @@
 """Command-line surface: run, compare, validate, print-scenario.
 
+Flags are spelled in full; a prefix of a flag is not accepted for it.
+
 Exit codes: 0 success, 1 scenario error or bad command-line input (an unknown
 command or flag, a value argparse rejects, a seed or duration outside the range
 of a file's run.seed or run.duration_us, an output path that cannot be written,
@@ -12,7 +14,6 @@ import argparse
 import os
 import sys
 from pathlib import Path
-from typing import Optional
 
 from .bwreq import OversubscribedUgsError
 from .engine import ConservationError, run_scenario
@@ -28,51 +29,34 @@ VERDICT_METRICS = (
 )
 
 
-class ComparisonReport:
-    def __init__(self, scenario: str, schedulers: list[str], seeds: list[int],
-                 values: Optional[dict] = None, verdicts: Optional[list[str]] = None):
-        self.scenario = scenario
-        self.schedulers = schedulers
-        self.seeds = seeds
-        # (scheduler, seed, scope, metric) -> value
-        self.values = {} if values is None else values
-        self.verdicts = [] if verdicts is None else verdicts
-
-    def render(self) -> str:
-        lines = [f"comparison on {self.scenario} "
-                 f"({len(self.seeds)} seed{'s' if len(self.seeds) != 1 else ''})"]
-        for scope, metric, _ in VERDICT_METRICS:
-            lines.append(f"  {metric}@{scope}:")
-            for sched in self.schedulers:
-                vals = [self.values[(sched, seed, scope, metric)] for seed in self.seeds]
-                mean = sum(vals) / len(vals)
-                lines.append(f"    {sched:>5}: mean {mean:.6f}  "
-                             f"per-seed {['%.6f' % v for v in vals]}")
-        lines.extend(f"  verdict: {v}" for v in self.verdicts)
-        return "\n".join(lines)
-
-
-def build_comparison(scenario_name: str, schedulers: list[str], seeds: list[int],
-                     summaries: dict) -> ComparisonReport:
-    report = ComparisonReport(scenario_name, schedulers, seeds)
-    for (sched, seed), summary in summaries.items():
-        for scope, metric, _ in VERDICT_METRICS:
-            report.values[(sched, seed, scope, metric)] = summary[(scope, metric)]
+def comparison(name: str, schedulers: list[str], seeds: list[int],
+               summaries: dict) -> tuple[str, str]:
+    """The report and the comparison.csv text of a compare grid, from the
+    summary rows of each run by (scheduler, seed)."""
+    lines = [f"comparison on {name} ({len(seeds)} seed{'s' if len(seeds) != 1 else ''})"]
+    verdicts = []
     low_confidence = " [low confidence: single seed]" if len(seeds) == 1 else ""
     for scope, metric, better in VERDICT_METRICS:
+        lines.append(f"  {metric}@{scope}:")
+        vals = {sched: [summaries[(sched, seed)][(scope, metric)] for seed in seeds]
+                for sched in schedulers}
+        for sched in schedulers:
+            lines.append(f"    {sched:>5}: mean {sum(vals[sched]) / len(seeds):.6f}  "
+                         f"per-seed {['%.6f' % v for v in vals[sched]]}")
+        sign = "<" if better == "lower" else ">"
         for i, a in enumerate(schedulers):
             for b in schedulers[i + 1:]:
-                sign = "<" if better == "lower" else ">"
-                wins = 0
-                for seed in seeds:
-                    va = report.values[(a, seed, scope, metric)]
-                    vb = report.values[(b, seed, scope, metric)]
-                    if (va < vb) == (better == "lower") and va != vb:
-                        wins += 1
-                report.verdicts.append(
-                    f"{metric}@{scope}: {a} {sign} {b} in {wins}/{len(seeds)} seeds"
-                    f"{low_confidence}")
-    return report
+                wins = sum(va != vb and (va < vb) == (better == "lower")
+                           for va, vb in zip(vals[a], vals[b]))
+                verdicts.append(f"  verdict: {metric}@{scope}: {a} {sign} {b} "
+                                f"in {wins}/{len(seeds)} seeds{low_confidence}")
+    # sorted by value, not by text, so that seed 10 comes after seed 2
+    cells = sorted((sched, seed, scope, metric) for sched, seed in summaries
+                   for scope, metric, _ in VERDICT_METRICS)
+    grid = "".join(f"{sched},{seed},{scope},{metric},"
+                   f"{summaries[(sched, seed)][(scope, metric)]:.6f}\n"
+                   for sched, seed, scope, metric in cells)
+    return "\n".join(lines + verdicts), "scheduler,seed,scope,metric,value\n" + grid
 
 
 def _seed(flag: str, value: int) -> int:
@@ -176,16 +160,10 @@ def cmd_compare(args) -> int:
             # verdicts come from the public CSV format, not from memory
             summaries[(sched, seed)] = read_summary_csv(str(path))
 
-    report = build_comparison(base.name, schedulers, seeds, summaries)
-
-    def write_grid(fh) -> None:
-        fh.write("scheduler,seed,scope,metric,value\n")
-        for (sched, seed, scope, metric), value in sorted(report.values.items()):
-            fh.write(f"{sched},{seed},{scope},{metric},{value:.6f}\n")
-
-    _write("--out-dir", out_dir / "comparison.csv", write_grid)
-    _write("--out-dir", out_dir / "report.txt", lambda fh: fh.write(report.render() + "\n"))
-    print(report.render())
+    report, grid = comparison(base.name, schedulers, seeds, summaries)
+    _write("--out-dir", out_dir / "comparison.csv", lambda fh: fh.write(grid))
+    _write("--out-dir", out_dir / "report.txt", lambda fh: fh.write(report + "\n"))
+    print(report)
     return 0
 
 
@@ -210,6 +188,10 @@ class _Parser(argparse.ArgumentParser):
     """An argument parser whose errors exit 1, the code of bad command-line input;
     argparse's own code, 2, is that of a runtime invariant violation here."""
 
+    def __init__(self, **kwargs):
+        # with prefixes allowed, compare would read --seed 7 as --seeds 7
+        super().__init__(allow_abbrev=False, **kwargs)
+
     def error(self, message: str):
         self.print_usage(sys.stderr)
         self.exit(1, f"{self.prog}: error: {message}\n")
@@ -226,7 +208,6 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--scenario", default="paper-pmp",
                         help="scenario file path or built-in name (default: paper-pmp)")
         if seeded:
-            sp.add_argument("--seed", type=int, default=None)
             sp.add_argument("--duration", type=int, default=None, metavar="SECONDS")
             sp.add_argument("--ss-scheduler", default=None, choices=SCHEDULER_NAMES)
             sp.add_argument("--strict-paper", action="store_true",
@@ -234,6 +215,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("run", help="execute one deterministic run, write CSV")
     common(sp)
+    sp.add_argument("--seed", type=int, default=None)
     sp.add_argument("--bs-scheduler", default=None, choices=SCHEDULER_NAMES)
     sp.add_argument("--out", default="-", help="output CSV path (default: stdout)")
     sp.set_defaults(fn=cmd_run)

@@ -58,8 +58,7 @@ class SimulationRun:
         for ss_id in range(1, scenario.station_count + 1):
             contention = ContentionState(
                 ss_id, min_window=scenario.contention.min_window,
-                max_window=scenario.contention.max_window,
-                window=scenario.contention.min_window)
+                max_window=scenario.contention.max_window)
             self.sss[ss_id] = SubscriberStation(
                 ss_id, make_scheduler(scenario.scheduler_ss), contention)
 

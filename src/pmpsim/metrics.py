@@ -9,7 +9,7 @@ delay through the relay.
 
 from __future__ import annotations
 
-from typing import IO, Iterator, Optional
+from typing import IO, Iterator
 
 from .qos import MacSdu
 
@@ -40,37 +40,29 @@ class RunMeta:
 
 
 class MetricSeries:
-    def __init__(self, name: str, scope: str,
-                 samples: Optional[list[tuple[int, float]]] = None):
+    def __init__(self, name: str, scope: str, samples: list[tuple[int, float]]):
         self.name = name
         self.scope = scope
-        self.samples = [] if samples is None else samples  # (bucket_start_us, value)
+        self.samples = samples  # (bucket_start_us, value)
+
+
+# the per-scope counters of a RunSummary, each a dict by scope
+COUNTERS = ("generated_packets", "generated_bytes", "delivered_packets",
+            "delivered_bytes", "dropped_packets", "dropped_bytes",
+            "queued_packets_end", "queued_bytes_end")
 
 
 class RunSummary:
-    def __init__(self, means: Optional[dict[tuple[str, str], float]] = None,
-                 delay_var: Optional[dict[str, float]] = None,
-                 generated_packets: Optional[dict[str, int]] = None,
-                 generated_bytes: Optional[dict[str, int]] = None,
-                 delivered_packets: Optional[dict[str, int]] = None,
-                 delivered_bytes: Optional[dict[str, int]] = None,
-                 dropped_packets: Optional[dict[str, int]] = None,
-                 dropped_bytes: Optional[dict[str, int]] = None,
-                 queued_packets_end: Optional[dict[str, int]] = None,
-                 queued_bytes_end: Optional[dict[str, int]] = None,
-                 unused_grant_bytes: int = 0, collisions: int = 0):
-        self.means = {} if means is None else means
-        self.delay_var = {} if delay_var is None else delay_var
-        self.generated_packets = {} if generated_packets is None else generated_packets
-        self.generated_bytes = {} if generated_bytes is None else generated_bytes
-        self.delivered_packets = {} if delivered_packets is None else delivered_packets
-        self.delivered_bytes = {} if delivered_bytes is None else delivered_bytes
-        self.dropped_packets = {} if dropped_packets is None else dropped_packets
-        self.dropped_bytes = {} if dropped_bytes is None else dropped_bytes
-        self.queued_packets_end = {} if queued_packets_end is None else queued_packets_end
-        self.queued_bytes_end = {} if queued_bytes_end is None else queued_bytes_end
-        self.unused_grant_bytes = unused_grant_bytes
-        self.collisions = collisions
+    """Run-wide figures: means by (scope, metric), the delay variance and each
+    of COUNTERS by scope, and two cell-wide totals."""
+
+    def __init__(self):
+        self.means: dict[tuple[str, str], float] = {}
+        self.delay_var: dict[str, float] = {}
+        for name in COUNTERS:
+            setattr(self, name, {})
+        self.unused_grant_bytes = 0
+        self.collisions = 0
 
 
 class ConservationError(RuntimeError):
@@ -252,9 +244,7 @@ def emit_csv(fh: IO[str], meta: RunMeta, series: list[MetricSeries],
         rows.append((scope, metric, -1.0, value))
     for scope, var in summary.delay_var.items():
         rows.append((scope, "delay_var_s2", -1.0, var))
-    for name in ("generated_packets", "generated_bytes", "delivered_packets",
-                 "delivered_bytes", "dropped_packets", "dropped_bytes",
-                 "queued_packets_end", "queued_bytes_end"):
+    for name in COUNTERS:
         for scope, value in getattr(summary, name).items():
             rows.append((scope, name, -1.0, float(value)))
     rows.append((SCOPE_CELL, "unused_grant_bytes", -1.0, float(summary.unused_grant_bytes)))

@@ -42,13 +42,12 @@ def requires_request(cls: SchedulingClass) -> RequestMode:
 class MacSdu:
     __slots__ = ("id", "cid", "size_bytes", "created_at", "delivered_at")
 
-    def __init__(self, id: int, cid: int, size_bytes: int, created_at: int,
-                 delivered_at: Optional[int] = None):
+    def __init__(self, id: int, cid: int, size_bytes: int, created_at: int):
         self.id = id
         self.cid = cid  # the flow's connection, on both hops
         self.size_bytes = size_bytes
         self.created_at = created_at
-        self.delivered_at = delivered_at
+        self.delivered_at: Optional[int] = None
 
 
 def talk_grant_bytes(grant_interval_us: int, rate_bps: int, packet_bytes: int) -> int:

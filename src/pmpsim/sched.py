@@ -17,7 +17,7 @@ import bisect
 import heapq
 import math
 from collections import deque
-from typing import Any, Optional
+from typing import Any
 
 SCHEDULER_NAMES = ("wfq", "dwrr", "wrr", "fifo")
 
@@ -35,12 +35,11 @@ class QueuedPacket:
 class ServiceDecision:
     """A maximal consecutive run of packets served from one queue."""
 
-    def __init__(self, cid: int, bytes: int, packet_ids: list[int],
-                 payloads: Optional[list[Any]] = None):
+    def __init__(self, cid: int, bytes: int, packet_ids: list[int], payloads: list[Any]):
         self.cid = cid
         self.bytes = bytes
         self.packet_ids = packet_ids
-        self.payloads = [] if payloads is None else payloads
+        self.payloads = payloads
 
 
 class SchedulableQueue:
@@ -195,8 +194,9 @@ class WfqScheduler(MinTagScheduler):
     backlogged window each flow's byte share tends to weight_i / sum(weights).
 
     Tags are exact integers in units of 1/tag_scale, the lcm of the queue
-    weights. A weight that changes the lcm rescales every tag alike, which
-    keeps their order and ties.
+    weights. Every queue is added before the first packet is enqueued, and
+    add_queue raises ValueError after it, so no tag is ever given out under a
+    scale that a later weight would change.
     """
 
     def __init__(self):
@@ -204,17 +204,10 @@ class WfqScheduler(MinTagScheduler):
         self.tag_scale = 1
 
     def add_queue(self, cid: int, weight: int = 1, quantum: int = 1) -> SchedulableQueue:
+        if self._seq:
+            raise ValueError(f"queue for cid {cid} added after the first packet")
         q = super().add_queue(cid, weight, quantum)
-        scale = math.lcm(self.tag_scale, weight)
-        if scale != self.tag_scale:
-            k = scale // self.tag_scale
-            self.tag_scale = scale
-            self.virtual_time *= k
-            for other in self._order:
-                other.last_finish_tag *= k
-                for pkt in other.packets:
-                    pkt.tag *= k
-            self._heads = [(tag * k, c, seq, pkt) for tag, c, seq, pkt in self._heads]
+        self.tag_scale = math.lcm(self.tag_scale, weight)
         return q
 
     def finish_tag(self, queue: SchedulableQueue, size: int, arrival: int = 0) -> int:

@@ -9,7 +9,6 @@ and downlink scheduling.
 
 from __future__ import annotations
 
-import bisect
 from fractions import Fraction
 
 from .bwreq import BwRequest
@@ -95,8 +94,9 @@ class SubscriberStation:
         self.conns: list[Connection] = []  # the flows it sources, in cid order
 
     def add_uplink(self, conn: Connection) -> SchedulableQueue:
-        """Source the flow of `conn` here; returns its queue."""
-        bisect.insort(self.conns, conn, key=lambda c: c.cid)
+        """Source the flow of `conn` here; returns its queue. Flows come in
+        ascending cid order, which BandwidthManager.register_flow enforces."""
+        self.conns.append(conn)
         return self.local_sched.add_queue(conn.cid, weight=conn.weight, quantum=conn.quantum)
 
     def on_map(self, run, ul_map: UlMap, n: int, ul_start: int) -> None:

@@ -260,8 +260,13 @@ def test_bad_scenario_exit_1_with_path(tmp_path, capsys, argv, path):
     (["simulate"], "argument command: invalid choice: 'simulate'"),
     ([], "the following arguments are required: command"),
     (["run", "--no-such-flag"], "unrecognized arguments: --no-such-flag"),
+    # compare runs the seeds of --seeds only; a prefix is not the flag it
+    # begins. Both are refused before the scenario is looked for.
+    (["compare", "--seed", "7", "--seeds", "1", "--scenario", "missing.yaml"],
+     "unrecognized arguments: --seed"),
+    (["run", "--see", "3"], "unrecognized arguments: --see 3"),
 ], ids=["seed-not-integer", "scheduler-unknown", "command-unknown", "command-missing",
-        "flag-unknown"])
+        "flag-unknown", "compare-seed", "flag-abbreviated"])
 def test_command_line_error_exit_1(capsys, argv, message):
     # exit 2 is reserved for runtime invariant violations
     with pytest.raises(SystemExit) as exit_info:

@@ -405,22 +405,23 @@ def test_multi_frame_sequences_match_reference(name, ref, case):
     assert served_frames(s, frames) == ref(queues, frames)
 
 
-def test_wfq_add_queue_rescales_queued_tags():
-    # weights 2, then 3 and 4 with packets queued: tag_scale goes 2 -> 6 -> 12.
-    # A queue added late has no tag history, like an idle queue known from
-    # the start, so the reference holds all three queues throughout.
+def test_wfq_tag_scale_is_fixed_before_traffic():
+    # weights 2, 3 and 4 added before any packet: tag_scale goes 2 -> 6 -> 12,
+    # and finish tags are exact in units of 1/12. A queue added once a packet
+    # was enqueued would change the scale under tags already given out.
     frames = [([(1, 0, 7, 0), (1, 1, 5, 0)], [], 7),
               ([(2, 2, 9, 0), (3, 3, 4, 0), (1, 4, 3, 0), (3, 5, 8, 0)], [], 40)]
     s = WfqScheduler()
-    s.add_queue(1, weight=2)
+    for cid, weight, scale in [(1, 2, 2), (2, 3, 6), (3, 4, 12)]:
+        s.add_queue(cid, weight=weight)
+        assert s.tag_scale == scale
     sizes = {}
     got = served_frames(s, frames[:1], sizes)
-    s.add_queue(2, weight=3)
-    assert s.tag_scale == 6
-    s.add_queue(3, weight=4)
-    assert s.tag_scale == 12
     assert Fraction(s.virtual_time, s.tag_scale) == Fraction(7, 2)
     assert Fraction(s.queues[1].packets[0].tag, s.tag_scale) == 6
+    with pytest.raises(ValueError, match="cid 4 added after the first packet"):
+        s.add_queue(4, weight=5)
+    assert s.tag_scale == 12 and 4 not in s.queues
     got += served_frames(s, frames[1:], sizes)
     ref = wfq_frames([(1, 2), (2, 3), (3, 4)], frames)
     assert [served for served, _ in got] == [served for served, _ in ref]
