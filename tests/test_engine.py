@@ -161,8 +161,18 @@ def test_relay_queue_overflow_drops_counted():
     # a full relay queue drops while conservation still holds
     run = SimulationRun(drop_scenario("relay"))
     drops = count_drops(run)
+    dl = run.bs.dl_sched
+    enqueue, peak = dl.enqueue, Counter()
+
+    def spy(cid, *args, **kwargs):
+        enqueue(cid, *args, **kwargs)
+        peak[cid] = max(peak[cid], dl.pending(cid))
+
+    dl.enqueue = spy
     s = run.run().summary
     scope = flow_scope(1)
+    # the relay queue fills to its cap exactly, never past it
+    assert peak[1] == run.scenario.flows[0].queue_packets
     assert drops[("relay", 1, "packets")] > 0
     assert drops[("src", 1, "packets")] == 0
     assert s.dropped_packets[scope] == drops[("relay", 1, "packets")]
