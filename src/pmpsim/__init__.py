@@ -14,8 +14,8 @@ from .qos import Connection, MacSdu, RequestMode, SchedulingClass, requires_requ
 from .bwreq import BandwidthManager, BwRequest, ContentionState, OversubscribedUgsError
 from .sched import (DwrrScheduler, FifoScheduler, PacketScheduler, SCHEDULER_NAMES,
                     ServiceDecision, WfqScheduler, WrrScheduler, make_scheduler)
-from .scenario import FlowSpec, Scenario, ScenarioError, load_scenario
+from .scenario import (FlowSpec, Scenario, ScenarioError, build_literal_scenario,
+                       build_paper_scenario, load_scenario)
 from .stations import BaseStation, SubscriberStation, TransmissionRecord
-from .traffic import build_literal_scenario, build_paper_scenario
 
 __all__ = [name for name in dir() if not name.startswith("_")]

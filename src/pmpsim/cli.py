@@ -139,7 +139,7 @@ def cmd_compare(args) -> int:
         raise ScenarioError(f"--seeds: expected comma-separated integers, got {args.seeds!r}")
     if not _unique("--seeds", [_seed("--seeds", seed) for seed in seeds]):
         raise ScenarioError("compare needs at least one seed")
-    base = _load(args)
+    sc = _load(args)
     out_dir = Path(args.out_dir)
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
@@ -149,7 +149,7 @@ def cmd_compare(args) -> int:
     summaries = {}
     for sched in schedulers:
         for seed in seeds:
-            sc = base.copy()
+            # a run only reads its scenario, so every run shares the one loaded
             sc.scheduler_bs = sched
             # SS-side scheduler follows the BS unless pinned explicitly
             sc.scheduler_ss = args.ss_scheduler or sched
@@ -160,7 +160,7 @@ def cmd_compare(args) -> int:
             # verdicts come from the public CSV format, not from memory
             summaries[(sched, seed)] = read_summary_csv(str(path))
 
-    report, grid = comparison(base.name, schedulers, seeds, summaries)
+    report, grid = comparison(sc.name, schedulers, seeds, summaries)
     _write("--out-dir", out_dir / "comparison.csv", lambda fh: fh.write(grid))
     _write("--out-dir", out_dir / "report.txt", lambda fh: fh.write(report + "\n"))
     print(report)

@@ -48,8 +48,11 @@ class SimulationRun:
         self.audit: Optional[list[TransmissionRecord]] = [] if record_audit else None
         self.ul_maps: Optional[list[UlMap]] = [] if record_audit else None
 
-        self.bs = BaseStation(make_scheduler(scenario.scheduler_bs), self.cfg,
-                              scenario.map_overhead_fraction)
+        # odd cids: flow i is the CSV's flow_XXXXX number 2i+1
+        self.metrics = MetricsCollector(
+            scenario.bucket_us, scenario.duration_us,
+            flows={2 * i + 1: (spec.src, spec.dst) for i, spec in enumerate(scenario.flows)})
+        self.bs = BaseStation(make_scheduler(scenario.scheduler_bs), self.cfg, self.metrics)
         self.bw = BandwidthManager(
             self.cfg, make_scheduler(scenario.scheduler_bs),
             request_bytes=scenario.contention.request_bytes,
@@ -65,7 +68,6 @@ class SimulationRun:
         # cid -> (its source queue, the queue's packet cap, the station's scheduler)
         self._uplink: dict[int, tuple[SchedulableQueue, int, PacketScheduler]] = {}
         for i, spec in enumerate(scenario.flows):
-            # odd cids: flow i is the CSV's flow_XXXXX number 2i+1
             conn = Connection(
                 2 * i + 1, spec.cls, spec.src, spec.dst, queue_cap_packets=spec.queue_packets,
                 weight=spec.weight, quantum=spec.weight * scenario.base_quantum_bytes,
@@ -75,13 +77,7 @@ class SimulationRun:
             self._uplink[conn.cid] = (ss.add_uplink(conn), conn.queue_cap_packets, ss.local_sched)
             self.bs.add_downlink(conn)
             self.bw.register_flow(conn)
-
-        self._ss_order = [self.sss[s] for s in sorted(self.sss)]
-        self.metrics = MetricsCollector(
-            scenario.bucket_us, scenario.duration_us,
-            flows={cid: (c.src, c.dst) for cid, c in self.bw.flows.items()})
         self._sdu_counter = 0
-        self._current_map: Optional[UlMap] = None
 
     # -------------------------------------------------------------- hooks
 
@@ -96,30 +92,25 @@ class SimulationRun:
             return
         sched.enqueue(cid, sdu.id, size_bytes, arrival=sdu.created_at, payload=sdu)
 
-    def uplink_arrival(self, sdu: MacSdu, end_us: int) -> None:
-        self.metrics.record_bs_ingress(sdu, end_us)
-        self.bs.receive_uplink(self, sdu, end_us)
-
     # -------------------------------------------------------------- frames
 
     def _frame_start(self, n: int) -> None:
         ul_map = self.bs.frame_tick(self, n)
-        self._current_map = ul_map
         if self.ul_maps is not None:
             self.ul_maps.append(ul_map)
         _, _, ul_start, frame_end = self.cfg.frame_boundaries(n)
-        self.sim.schedule(ul_start, EventKind.UL_SUBFRAME_START, self._ul_start, n)
+        self.sim.schedule(ul_start, EventKind.UL_SUBFRAME_START, self._ul_start, (n, ul_map))
         if frame_end < self.scenario.duration_us:
             self.sim.schedule(frame_end, EventKind.FRAME_START, self._frame_start, n + 1)
 
-    def _ul_start(self, n: int) -> None:
-        ul_map = self._current_map
+    def _ul_start(self, frame: tuple[int, UlMap]) -> None:
+        n, ul_map = frame
         ul_start = self.sim.now
-        for ss in self._ss_order:
+        for ss in self.sss.values():  # in ss_id order
             ss.on_map(self, ul_map, n, ul_start)
         slots = ul_map.contention_bytes // self.scenario.contention.request_bytes
         # only a station with a request pending draws a backoff
-        states = [ss.contention for ss in self._ss_order if ss.contention.pending is not None]
+        states = [ss.contention for ss in self.sss.values() if ss.contention.pending is not None]
         delivered, collided = self.bw.run_contention(states, slots, self.sim.rng)
         for _slot, req in delivered:
             self.bw.on_request(req)

@@ -38,7 +38,9 @@ class FrameConfig:
                  modulation: Modulation = Modulation.QAM64,
                  coding_rate: Fraction = Fraction(3, 4),
                  # pilot/guard/preamble overhead estimate; configuration, not ground truth
-                 efficiency_factor: Fraction = Fraction(4, 5)):
+                 efficiency_factor: Fraction = Fraction(4, 5),
+                 # share of the downlink subframe the DL map takes
+                 map_overhead_fraction: Fraction = Fraction(1, 50)):
         if ttg_us + rtg_us >= frame_duration_us:
             raise ValueError("ttg + rtg must be smaller than the frame duration")
         if not (0 < dl_fraction < 1):
@@ -49,7 +51,7 @@ class FrameConfig:
             frame_duration_us=frame_duration_us, ttg_us=ttg_us, rtg_us=rtg_us,
             dl_fraction=dl_fraction, channel_bandwidth_hz=channel_bandwidth_hz,
             modulation=modulation, coding_rate=coding_rate,
-            efficiency_factor=efficiency_factor)
+            efficiency_factor=efficiency_factor, map_overhead_fraction=map_overhead_fraction)
 
     def __setattr__(self, name: str, value) -> None:
         raise AttributeError(f"FrameConfig is immutable; cannot set {name}")
@@ -77,6 +79,13 @@ class FrameConfig:
     def subframe_capacity_bytes(self, direction: Direction) -> int:
         dur = self.dl_subframe_us if direction is Direction.DOWNLINK else self.ul_subframe_us
         return (self.bit_rate * dur) // 8_000_000
+
+    @cached_property
+    def dl_map_bytes(self) -> int:
+        """The DL map, which opens the downlink subframe: its share, rounded up."""
+        fraction = self.map_overhead_fraction
+        return -(-self.subframe_capacity_bytes(Direction.DOWNLINK) * fraction.numerator
+                 // fraction.denominator)
 
     def frame_boundaries(self, frame_index: int) -> tuple[int, int, int, int]:
         """(frame_start, dl_start, ul_start, frame_end) for frame n."""

@@ -10,10 +10,9 @@ checks. Checks that span several keys live in Scenario.validate.
 
 from __future__ import annotations
 
-import copy
 import math
 from fractions import Fraction
-from operator import attrgetter
+from types import SimpleNamespace
 from typing import Any
 
 from .phy import Direction, FrameConfig, Modulation
@@ -130,8 +129,9 @@ _UGS, _ERTPS, _RTPS, _NRTPS, _BE = (SchedulingClass.UGS, SchedulingClass.ERTPS,
 # One row per key, in dump order: (section, key, attribute, parser, default,
 # bound, kinds, optional); rows may leave off kinds (None) and optional (False).
 # - section "" is the top level of the file.
-# - attribute is a path from the Scenario, or from the FlowSpec in "flows";
-#   "frame.coding_rate" lands in the frame's FrameConfig.
+# - attribute names the attribute on the section's holder: the frame's
+#   FrameConfig, the contention namespace, a FlowSpec in "flows", and the
+#   Scenario itself for every other section.
 # - default is the value of a missing key. A dict default depends on the
 #   flow: it is keyed by kind, else by the class, whose row comes first. The
 #   flow name defaults to "<kind>-ss<src>-ss<dst>".
@@ -142,26 +142,25 @@ _UGS, _ERTPS, _RTPS, _NRTPS, _BE = (SchedulingClass.UGS, SchedulingClass.ERTPS,
 # - an optional key is written only when its value differs from the default.
 FIELDS = tuple(row + (None, False)[len(row) - 6:] for row in (
     ("", "name", "name", _name, "unnamed", None),
-    ("frame", "frame_duration_us", "frame.frame_duration_us", _int, 12_500, 1),
-    ("frame", "ttg_us", "frame.ttg_us", _int, 106, 0),
-    ("frame", "rtg_us", "frame.rtg_us", _int, 60, 0),
+    ("frame", "frame_duration_us", "frame_duration_us", _int, 12_500, 1),
+    ("frame", "ttg_us", "ttg_us", _int, 106, 0),
+    ("frame", "rtg_us", "rtg_us", _int, 60, 0),
     # dl_fraction in (0, 1) and ttg + rtg < frame duration: FrameConfig checks
-    ("frame", "dl_fraction", "frame.dl_fraction", _fraction, Fraction(1, 2), None),
-    ("frame", "channel_bandwidth_hz", "frame.channel_bandwidth_hz", _int, 20_000_000, 1),
-    ("frame", "modulation", "frame.modulation", _modulation, Modulation.QAM64, None),
-    ("frame", "coding_rate", "frame.coding_rate", _fraction, Fraction(3, 4), "(0, 1]"),
-    ("frame", "efficiency_factor", "frame.efficiency_factor", _fraction, Fraction(4, 5),
-     "(0, 1]"),
+    ("frame", "dl_fraction", "dl_fraction", _fraction, Fraction(1, 2), None),
+    ("frame", "channel_bandwidth_hz", "channel_bandwidth_hz", _int, 20_000_000, 1),
+    ("frame", "modulation", "modulation", _modulation, Modulation.QAM64, None),
+    ("frame", "coding_rate", "coding_rate", _fraction, Fraction(3, 4), "(0, 1]"),
+    ("frame", "efficiency_factor", "efficiency_factor", _fraction, Fraction(4, 5), "(0, 1]"),
     ("frame", "map_overhead_fraction", "map_overhead_fraction", _fraction, Fraction(1, 50),
      "[0, 1)"),
     ("stations", "count", "station_count", _int, 5, 1),
     ("schedulers", "bs", "scheduler_bs", _str, "wfq", None),
     ("schedulers", "ss", "scheduler_ss", _str, "wfq", None),
     ("schedulers", "base_quantum_bytes", "base_quantum_bytes", _int, 1518, 1),
-    ("contention", "min_window", "contention.min_window", _int, 8, 1),
-    ("contention", "max_window", "contention.max_window", _int, 1024, 1),
-    ("contention", "request_bytes", "contention.request_bytes", _int, 8, 1),
-    ("contention", "min_slots", "contention.min_slots", _int, 4, 1),
+    ("contention", "min_window", "min_window", _int, 8, 1),
+    ("contention", "max_window", "max_window", _int, 1024, 1),
+    ("contention", "request_bytes", "request_bytes", _int, 8, 1),
+    ("contention", "min_slots", "min_slots", _int, 4, 1),
     ("flows", "name", "name", _str, None, None),
     ("flows", "kind", "kind", _str, REQUIRED, None),  # one of TRAFFIC_KINDS
     ("flows", "src", "src", _int, REQUIRED, 1),
@@ -237,49 +236,18 @@ def _parse(rows: list[tuple], d: dict, path: str, kind: str = "") -> dict[str, A
     return values
 
 
-def _dump_rows(obj: Any, rows: list[tuple], kind: str = "") -> dict[str, Any]:
+def _dump_rows(holder: Any, rows: list[tuple], kind: str = "") -> dict[str, Any]:
     """Key to written value for each row that kind takes."""
     d = {}
     for _, key, attribute, _, default, _, kinds, optional in rows:
-        value = attrgetter(attribute)(obj)
+        value = getattr(holder, attribute)
         if (kinds is None or kind in kinds) and not (optional and value == default):
             dump = _DUMP.get(type(value))
             d[key] = value if dump is None else dump(value)
     return d
 
 
-class Section:
-    """An object whose attributes are rows of FIELDS, such as the contention
-    section."""
-
-    def __init__(self, **attributes):
-        self.__dict__.update(attributes)
-
-
-# class of the object named by the first part of a dotted attribute path
-_PARTS = {"frame": FrameConfig, "contention": Section}
-
-
-def _attributes(values: dict[str, Any]) -> dict[str, Any]:
-    """Attribute paths to values, with each object on a path built once from
-    all its values, so a frozen part's own checks see the finished set."""
-    direct: dict[str, Any] = {}
-    parts: dict[str, dict[str, Any]] = {}
-    for attribute, value in values.items():
-        head, _, rest = attribute.partition(".")
-        if rest:
-            parts.setdefault(head, {})[rest] = value
-        else:
-            direct[head] = value
-    for head, sub in parts.items():
-        try:
-            direct[head] = _PARTS[head](**sub)
-        except ValueError as e:
-            raise ScenarioError(f"{head}: {e}")
-    return direct
-
-
-class FlowSpec(Section):
+class FlowSpec:
     """One flow entry: traffic generator parameters plus QoS provisioning."""
 
     @classmethod
@@ -305,12 +273,34 @@ class FlowSpec(Section):
 
 
 class Scenario:
-    """A whole cell: every attribute named in FIELDS, plus the flow list."""
+    """A whole cell: the frame's FrameConfig, the contention namespace, the
+    flow list, and every attribute of the other sections of FIELDS."""
 
     def __init__(self):
-        self.__dict__.update(_attributes(_parse([row for row in FIELDS if row[0] != "flows"],
-                                                {}, "")))
-        self.flows: list[FlowSpec] = []
+        self._read({})
+
+    def _read(self, d: dict) -> None:
+        """Set every attribute from mapping d, a key it lacks from its default.
+        The holders are built once every section has parsed, so a FrameConfig
+        check sees the finished set and a parse error comes first."""
+        values = {}
+        for section, rows in _SECTIONS.items():
+            if section != "flows":
+                sub = (d.get(section, {}) or {}) if section else d
+                if section:
+                    _check_keys(sub, _KEYS[section], section)
+                values[section] = _parse(rows, sub, section)
+        flows = d.get("flows", []) or []
+        if not isinstance(flows, list):
+            raise ScenarioError("flows: must be a list")
+        try:
+            self.frame = FrameConfig(**values.pop("frame"))
+        except ValueError as e:
+            raise ScenarioError(f"frame: {e}")
+        self.contention = SimpleNamespace(**values.pop("contention"))
+        for attributes in values.values():
+            self.__dict__.update(attributes)
+        self.flows = [FlowSpec.from_dict(f, f"flows[{i}]") for i, f in enumerate(flows)]
 
     def validate(self) -> None:
         if self.scheduler_bs not in SCHEDULER_NAMES:
@@ -382,19 +372,8 @@ class Scenario:
         if not isinstance(d, dict):
             raise ScenarioError("scenario root must be a mapping")
         _check_keys(d, _KEYS["scenario"], "scenario")
-        values = {}
-        for section, rows in _SECTIONS.items():
-            if section != "flows":
-                sub = (d.get(section, {}) or {}) if section else d
-                if section:
-                    _check_keys(sub, _KEYS[section], section)
-                values.update(_parse(rows, sub, section))
-        flows = d.get("flows", []) or []
-        if not isinstance(flows, list):
-            raise ScenarioError("flows: must be a list")
-        sc = cls()
-        sc.__dict__.update(_attributes(values))
-        sc.flows = [FlowSpec.from_dict(f, f"flows[{i}]") for i, f in enumerate(flows)]
+        sc = cls.__new__(cls)
+        sc._read(d)
         sc.validate()
         return sc
 
@@ -404,24 +383,61 @@ class Scenario:
             if section == "flows":
                 d[section] = [f.to_dict() for f in self.flows]
             elif section:
-                d[section] = _dump_rows(self, rows)
+                holder = {"frame": self.frame, "contention": self.contention}.get(section, self)
+                d[section] = _dump_rows(holder, rows)
         return d
 
     def to_yaml(self) -> str:
         import yaml
         return yaml.safe_dump(self.to_dict(), sort_keys=False, default_flow_style=False)
 
-    def copy(self) -> "Scenario":
-        return copy.deepcopy(self)
+
+# --------------------------------------------------------------- built-ins
+
+def build_paper_scenario() -> Scenario:
+    """The five-station PMP cell: one BS, five SSs, five crossing flows.
+
+    The uplink subframe share is sized so the default traffic mix loads the
+    uplink to just under its capacity; that is the operating point where
+    the choice of grant scheduler is visible in delay and throughput.
+    The literal traffic matrix leaves one station silent and one flow
+    without a destination; here the silence-suppressed VoIP flow runs
+    SS5 -> SS4 so all five stations participate (see build_literal_scenario
+    for the alternative reading).
+    """
+    return Scenario.from_dict({
+        "name": "paper-pmp",
+        "frame": {"frame_duration_us": 12_500, "ttg_us": 106, "rtg_us": 60,
+                  "dl_fraction": "189/200", "channel_bandwidth_hz": 20_000_000},
+        "stations": {"count": 5},
+        "schedulers": {"bs": "wfq", "ss": "wfq"},
+        "flows": [{"kind": "ftp", "src": 1, "dst": 2},
+                  {"kind": "video", "src": 2, "dst": 3},
+                  {"kind": "http", "src": 3, "dst": 4},
+                  {"kind": "voip_silence", "src": 5, "dst": 4},
+                  {"kind": "voice", "src": 4, "dst": 1}],
+        "run": {"seed": 1, "duration_us": 60_000_000, "bucket_us": 1_000_000},
+    })
+
+
+def build_literal_scenario() -> Scenario:
+    """Strict reading of the traffic matrix: both voice flows leave SS4."""
+    sc = build_paper_scenario()
+    sc.name = "paper-pmp-literal"
+    sc.flows[3] = FlowSpec.from_dict(
+        {"kind": "voip_silence", "src": 4, "dst": 1}, "flows[3]")
+    sc.validate()
+    return sc
+
+
+# name -> builder of each scenario that loads without a file
+BUILTINS = {"paper-pmp": build_paper_scenario, "paper-pmp-literal": build_literal_scenario}
 
 
 def load_scenario(path_or_name: str) -> Scenario:
     """Load a scenario file, or a built-in by name (e.g. "paper-pmp")."""
-    from . import traffic  # built-ins live with the generators
-
-    builtin = traffic.builtin_scenarios()
-    if path_or_name in builtin:
-        return builtin[path_or_name]()
+    if path_or_name in BUILTINS:
+        return BUILTINS[path_or_name]()
     import yaml  # only files need it, so the built-ins load without PyYAML
     # libyaml's parser where PyYAML is built with it; both feed the same Python
     # SafeConstructor, so the parsed values are identical
@@ -432,7 +448,7 @@ def load_scenario(path_or_name: str) -> Scenario:
     except FileNotFoundError:
         raise ScenarioError(
             f"no scenario file {path_or_name!r} and no built-in of that name "
-            f"(built-ins: {', '.join(sorted(builtin))})")
+            f"(built-ins: {', '.join(sorted(BUILTINS))})")
     except (OSError, UnicodeDecodeError) as e:
         raise ScenarioError(f"{path_or_name}: cannot read: {e}")
     except yaml.YAMLError as e:

@@ -9,11 +9,10 @@ and downlink scheduling.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .bwreq import BwRequest
+from .metrics import MetricsCollector
 from .phy import Direction, FrameConfig, GrantKind, IllegalMapError, UlMap, validate_map
-from .qos import Connection, RequestMode, SchedulingClass
+from .qos import Connection, MacSdu, RequestMode, SchedulingClass
 from .sched import PacketScheduler, SchedulableQueue
 
 
@@ -51,39 +50,39 @@ def transmit(run, sched: PacketScheduler, n: int, direction: Direction, subframe
 
 class BaseStation:
     def __init__(self, dl_scheduler: PacketScheduler, cfg: FrameConfig,
-                 map_overhead_fraction: Fraction):
+                 metrics: MetricsCollector):
         self.dl_sched = dl_scheduler  # the relay queues, one per flow, keyed by its cid
+        # its record_* methods are looked up at each call, so a wrapper set on
+        # the collector after the run is built sees every record
+        self.metrics = metrics
         self._relay: dict[int, tuple[SchedulableQueue, int]] = {}  # cid -> (queue, packet cap)
-        dl_cap = cfg.subframe_capacity_bytes(Direction.DOWNLINK)
         # the DL map opens the downlink subframe; the relay data fills the rest
-        self.dl_map_bytes = -(-dl_cap * map_overhead_fraction.numerator
-                              // map_overhead_fraction.denominator)
-        self.dl_data_bytes = dl_cap - self.dl_map_bytes
+        self.dl_data_bytes = cfg.subframe_capacity_bytes(Direction.DOWNLINK) - cfg.dl_map_bytes
 
     def add_downlink(self, conn: Connection) -> None:
         queue = self.dl_sched.add_queue(conn.cid, weight=conn.weight, quantum=conn.quantum)
         self._relay[conn.cid] = (queue, conn.queue_cap_packets)
 
     def frame_tick(self, run, n: int) -> UlMap:
-        """Per-frame BS work: serve the downlink, then build the uplink map."""
-        cfg = run.cfg
-        _, dl_start, _, _ = cfg.frame_boundaries(n)
-        transmit(run, self.dl_sched, n, Direction.DOWNLINK, dl_start, self.dl_map_bytes,
-                 self.dl_data_bytes, run.metrics.record_delivery)
-        ul_map = run.bw.build_ul_map(n, now=run.sim.now)
+        """Per-frame BS work at the frame start: serve the downlink, then build
+        the uplink map."""
+        cfg, now = run.cfg, run.sim.now
+        transmit(run, self.dl_sched, n, Direction.DOWNLINK, now, cfg.dl_map_bytes,
+                 self.dl_data_bytes, self.metrics.record_delivery)
+        ul_map = run.bw.build_ul_map(n, now=now)
         violation = validate_map(ul_map, cfg)
         if violation is not None:
             raise IllegalMapError(f"frame {n}: illegal uplink map ({violation})")
         return ul_map
 
-    def receive_uplink(self, run, sdu, arrival_us: int) -> None:
-        """Hand an uplink SDU to the relay; it joins its flow's downlink queue."""
+    def receive_uplink(self, sdu: MacSdu, t: int) -> None:
+        """An uplink SDU reaches the BS at t; it joins its flow's relay queue."""
+        self.metrics.record_bs_ingress(sdu, t)
         queue, cap = self._relay[sdu.cid]
         if len(queue.packets) >= cap:
-            run.metrics.record_drop(sdu, "relay")
+            self.metrics.record_drop(sdu, "relay")
             return
-        self.dl_sched.enqueue(sdu.cid, sdu.id, sdu.size_bytes,
-                              arrival=arrival_us, payload=sdu)
+        self.dl_sched.enqueue(sdu.cid, sdu.id, sdu.size_bytes, arrival=t, payload=sdu)
 
 
 class SubscriberStation:
@@ -116,7 +115,7 @@ class SubscriberStation:
                     length += ie.grant_bytes
             if len(polls) < len(mine):
                 served = transmit(run, self.local_sched, n, Direction.UPLINK, ul_start,
-                                  mine[0].offset_bytes, length, run.uplink_arrival)
+                                  mine[0].offset_bytes, length, run.bs.receive_uplink)
                 sent_data = served > 0
                 run.metrics.record_unused_grant(length - served)
             for ie in polls:

@@ -1,7 +1,8 @@
 """Source models: ftp, streaming video, http, VoIP with silence suppression,
 and plain voice.
 
-Each traffic kind is a generator over its flow's emission instants. It is
+Each traffic kind is a generator over its flow's emission instants, made
+from the flow's entry (a scenario.FlowSpec) and a random stream. It is
 resumed once per instant, the first time at the flow's start_us, and yields
 the SDU sizes to emit at that instant and the time of its next one. It draws
 only while resumed, so each draw belongs to one instant, in a fixed order.
@@ -24,7 +25,6 @@ import random
 from typing import Callable, Iterator, Sequence
 
 from .kernel import EventKind
-from .scenario import FlowSpec, Scenario
 
 # ingest(cid, size_bytes) is called once per emitted SDU, at the event time
 IngestFn = Callable[[int, int], None]
@@ -40,14 +40,14 @@ def _split_burst(total: int, mtu: int) -> list[int]:
     return sizes
 
 
-def voice(spec: FlowSpec, rng: random.Random) -> Source:
+def voice(spec, rng: random.Random) -> Source:
     """Constant bit rate: one fixed packet every packet_bytes*8/rate seconds."""
     sizes, period = (spec.packet_bytes,), spec.packet_period_us()
     for nxt in itertools.count(spec.start_us + period, period):
         yield sizes, nxt
 
 
-def voip_silence(spec: FlowSpec, rng: random.Random) -> Source:
+def voip_silence(spec, rng: random.Random) -> Source:
     """Voice with silence suppression: exponential talk/silence phases."""
     sizes, period = (spec.packet_bytes,), spec.packet_period_us()
     # a silence that ends at the start: the first instant draws a talk phase
@@ -62,7 +62,7 @@ def voip_silence(spec: FlowSpec, rng: random.Random) -> Source:
         yield (sizes if talking else ()), now
 
 
-def video(spec: FlowSpec, rng: random.Random) -> Source:
+def video(spec, rng: random.Random) -> Source:
     """Periodic frames with truncated-lognormal sizes, emitted as MTU bursts."""
     mu = math.log(spec.mean_frame_bytes) - spec.sigma ** 2 / 2
     for nxt in itertools.count(spec.start_us + spec.frame_interval_us, spec.frame_interval_us):
@@ -71,14 +71,14 @@ def video(spec: FlowSpec, rng: random.Random) -> Source:
         yield _split_burst(size, spec.mtu_bytes), nxt
 
 
-def ftp(spec: FlowSpec, rng: random.Random) -> Source:
+def ftp(spec, rng: random.Random) -> Source:
     """Back-to-back fixed-size packets at a configured offered rate."""
     sizes = (spec.packet_bytes,)
     for k in itertools.count(1):
         yield sizes, spec.start_us + k * spec.packet_bytes * 8_000_000 // spec.rate_bps
 
 
-def http(spec: FlowSpec, rng: random.Random) -> Source:
+def http(spec, rng: random.Random) -> Source:
     """Poisson page requests; page sizes bounded-Pareto, emitted as MTU bursts.
 
     A page burst is paced at page_pace_bps (at least 1 bit/s: the
@@ -100,7 +100,7 @@ def http(spec: FlowSpec, rng: random.Random) -> Source:
         yield (last,), now
 
 
-def make_source(spec: FlowSpec, rng: random.Random) -> Source:
+def make_source(spec, rng: random.Random) -> Source:
     """The flow's source, drawing from rng; nothing runs until it is resumed."""
     kinds = {"voice": voice, "voip_silence": voip_silence, "video": video,
              "ftp": ftp, "http": http}
@@ -112,7 +112,7 @@ class Emitter:
     instant from start_us until before stop_us. The handler is a bound method,
     not a closure, so a finished run holds no reference cycle through its source."""
 
-    def __init__(self, spec: FlowSpec, cid: int, rng: random.Random, end_us: int,
+    def __init__(self, spec, cid: int, rng: random.Random, end_us: int,
                  schedule: Callable, ingest: IngestFn):
         self.source = make_source(spec, rng)
         self.cid, self.schedule, self.ingest = cid, schedule, ingest
@@ -126,46 +126,3 @@ class Emitter:
             self.ingest(self.cid, size)
         if nxt < self.stop_us:
             self.schedule(nxt, _ARRIVAL, self.fire)
-
-
-# --------------------------------------------------------------- built-ins
-
-def build_paper_scenario() -> Scenario:
-    """The five-station PMP cell: one BS, five SSs, five crossing flows.
-
-    The uplink subframe share is sized so the default traffic mix loads the
-    uplink to just under its capacity; that is the operating point where
-    the choice of grant scheduler is visible in delay and throughput.
-    The literal traffic matrix leaves one station silent and one flow
-    without a destination; here the silence-suppressed VoIP flow runs
-    SS5 -> SS4 so all five stations participate (see build_literal_scenario
-    for the alternative reading).
-    """
-    return Scenario.from_dict({
-        "name": "paper-pmp",
-        "frame": {"frame_duration_us": 12_500, "ttg_us": 106, "rtg_us": 60,
-                  "dl_fraction": "189/200", "channel_bandwidth_hz": 20_000_000},
-        "stations": {"count": 5},
-        "schedulers": {"bs": "wfq", "ss": "wfq"},
-        "flows": [{"kind": "ftp", "src": 1, "dst": 2},
-                  {"kind": "video", "src": 2, "dst": 3},
-                  {"kind": "http", "src": 3, "dst": 4},
-                  {"kind": "voip_silence", "src": 5, "dst": 4},
-                  {"kind": "voice", "src": 4, "dst": 1}],
-        "run": {"seed": 1, "duration_us": 60_000_000, "bucket_us": 1_000_000},
-    })
-
-
-def build_literal_scenario() -> Scenario:
-    """Strict reading of the traffic matrix: both voice flows leave SS4."""
-    sc = build_paper_scenario()
-    sc.name = "paper-pmp-literal"
-    sc.flows[3] = FlowSpec.from_dict(
-        {"kind": "voip_silence", "src": 4, "dst": 1}, "flows[3]")
-    sc.validate()
-    return sc
-
-
-def builtin_scenarios() -> dict[str, Callable[[], Scenario]]:
-    return {"paper-pmp": build_paper_scenario,
-            "paper-pmp-literal": build_literal_scenario}

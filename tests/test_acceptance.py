@@ -18,7 +18,7 @@ from pmpsim.kernel import RandomSource
 from pmpsim.metrics import flow_scope
 from pmpsim.phy import Direction, GrantKind
 from pmpsim.sched import DwrrScheduler, WfqScheduler, make_scheduler
-from pmpsim.traffic import build_paper_scenario
+from pmpsim.scenario import build_paper_scenario
 
 from oracles import dwrr_reference, fifo_reference, wfq_reference, wrr_reference
 

@@ -12,8 +12,7 @@ from pmpsim.engine import SimulationRun, run_scenario
 from pmpsim.metrics import flow_scope, ss_scope
 from pmpsim.phy import Direction, FrameConfig, GrantKind
 from pmpsim.qos import RequestMode
-from pmpsim.scenario import Scenario, FlowSpec
-from pmpsim.traffic import build_paper_scenario
+from pmpsim.scenario import Scenario, FlowSpec, build_paper_scenario
 
 
 def tiny_scenario(**kw):

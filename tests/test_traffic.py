@@ -6,8 +6,8 @@ import pytest
 from pmpsim.engine import SimulationRun
 from pmpsim.kernel import RandomSource, Simulator
 from pmpsim.qos import SchedulingClass
-from pmpsim.scenario import FlowSpec, Scenario
-from pmpsim.traffic import Emitter, build_literal_scenario, build_paper_scenario
+from pmpsim.scenario import FlowSpec, Scenario, build_literal_scenario, build_paper_scenario
+from pmpsim.traffic import Emitter
 
 
 def collect(kind_dict, duration_us, seed=1):
