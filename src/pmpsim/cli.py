@@ -133,6 +133,9 @@ def cmd_compare(args) -> int:
     schedulers = [s.strip() for s in args.schedulers.split(",") if s.strip()]
     if len(_unique("--schedulers", schedulers)) < 2:
         raise ScenarioError("compare needs at least two schedulers")
+    for sched in schedulers:
+        if sched not in SCHEDULER_NAMES:
+            raise ScenarioError(f"--schedulers: unknown scheduler {sched!r}")
     try:
         seeds = [int(s) for s in args.seeds.split(",") if s.strip()]
     except ValueError:
@@ -158,7 +161,11 @@ def cmd_compare(args) -> int:
             path = out_dir / f"run_{sched}_seed{seed}.csv"
             _write("--out-dir", path, result.write_csv)
             # verdicts come from the public CSV format, not from memory
-            summaries[(sched, seed)] = read_summary_csv(str(path))
+            summary = summaries[(sched, seed)] = read_summary_csv(str(path))
+            for scope, metric, _ in VERDICT_METRICS:
+                if (scope, metric) not in summary:
+                    raise ScenarioError(f"{path}: no {metric}@{scope} summary row to compare; "
+                                        f"the run moved no packet through {scope}")
 
     report, grid = comparison(sc.name, schedulers, seeds, summaries)
     _write("--out-dir", out_dir / "comparison.csv", lambda fh: fh.write(grid))

@@ -86,6 +86,14 @@ def test_compare_single_scheduler_rejected(tmp_path):
     assert rc == 1
 
 
+def test_compare_checks_every_scheduler_before_running(tmp_path, capsys):
+    out_dir = tmp_path / "cmp"
+    assert run_cli("compare", "--scenario", tiny_file(tmp_path), "--schedulers", "wfq,bogus",
+                   "--seeds", "1", "--out-dir", str(out_dir)) == 1
+    assert "scenario error: --schedulers: unknown scheduler 'bogus'" in capsys.readouterr().err
+    assert not list(tmp_path.glob("**/*.csv"))
+
+
 def test_compare_single_seed_flagged_low_confidence(tmp_path):
     out_dir = tmp_path / "cmp1"
     rc = run_cli("compare", "--scenario", tiny_file(tmp_path),
@@ -158,6 +166,15 @@ def _compare_into(blocked):
     def argv(tmp_path):
         (tmp_path / "cmp" / blocked).mkdir(parents=True)
         return ["compare", "--scenario", tiny_file(tmp_path), "--seeds", "1",
+                "--out-dir", str(tmp_path / "cmp")]
+    return argv
+
+
+def _compare_flow(**fields):
+    """compare of the tiny scenario's 1 s run, its one flow given these fields."""
+    def argv(tmp_path):
+        flows = [{"kind": "ftp", "src": 1, "dst": 2, **fields}]
+        return ["compare", "--scenario", tiny_file(tmp_path, flows=flows), "--seeds", "1",
                 "--out-dir", str(tmp_path / "cmp")]
     return argv
 
@@ -235,6 +252,9 @@ def _binary_file(tmp_path):
     (_compare_into("run_wfq_seed1.csv"), "--out-dir: cannot write "),
     (_compare_into("comparison.csv"), "comparison.csv: Is a directory"),
     (_compare_into("report.txt"), "report.txt: Is a directory"),
+    # no packet reaches the BS before the run ends, so no verdict row exists
+    (_compare_flow(start_us=2_000_000), "run_wfq_seed1.csv: no delay_s@bs summary row"),
+    (_compare_flow(start_us=999_000), "run_wfq_seed1.csv: no delay_s@bs summary row"),
 ], ids=["rate-zero", "rate-negative", "alpha-text", "alpha-one", "sigma-negative",
         "frame-not-mapping", "sigma-huge", "rate-subnormal", "page-bytes-huge",
         "voice-period-zero", "stop-before-start", "page-mean-over-max", "coding-rate-zero",
@@ -247,7 +267,8 @@ def _binary_file(tmp_path):
         "duration-too-large", "duration-zero", "duration-negative", "unsolicited-over-capacity",
         "ertps-silent-over-capacity",
         "compare-run-csv-is-directory",
-        "compare-grid-is-directory", "compare-report-is-directory"])
+        "compare-grid-is-directory", "compare-report-is-directory",
+        "compare-flow-starts-after-run", "compare-flow-starts-at-run-end"])
 def test_bad_scenario_exit_1_with_path(tmp_path, capsys, argv, path):
     assert run_cli(*argv(tmp_path)) == 1
     err = capsys.readouterr().err
