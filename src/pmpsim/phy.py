@@ -47,6 +47,8 @@ class FrameConfig:
             raise ValueError("dl_fraction must lie in (0, 1)")
         if channel_bandwidth_hz <= 0:
             raise ValueError("channel bandwidth must be positive")
+        if not (0 <= map_overhead_fraction < 1):
+            raise ValueError("map_overhead_fraction must lie in [0, 1)")
         self.__dict__.update(
             frame_duration_us=frame_duration_us, ttg_us=ttg_us, rtg_us=rtg_us,
             dl_fraction=dl_fraction, channel_bandwidth_hz=channel_bandwidth_hz,

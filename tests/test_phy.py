@@ -67,7 +67,11 @@ def test_frame_config_immutable():
     ({"dl_fraction": Fraction(0)}, "dl_fraction must lie in"),
     ({"dl_fraction": Fraction(1)}, "dl_fraction must lie in"),
     ({"channel_bandwidth_hz": 0}, "channel bandwidth must be positive"),
-], ids=["no-downlink", "no-uplink", "no-bandwidth"])
+    # a DL map of the whole downlink or more leaves the relay no data budget
+    ({"map_overhead_fraction": Fraction(1)}, r"map_overhead_fraction must lie in \[0, 1\)"),
+    ({"map_overhead_fraction": Fraction(-1, 50)}, r"map_overhead_fraction must lie in"),
+], ids=["no-downlink", "no-uplink", "no-bandwidth", "map-overhead-whole",
+        "map-overhead-negative"])
 def test_frame_config_checks(fields, message):
     with pytest.raises(ValueError, match=message):
         FrameConfig(**fields)
