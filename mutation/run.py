@@ -1,6 +1,6 @@
 """Run the mutation gate: every mutant in catalogue.py must be killed.
 
-    python mutation/run.py [MUTANT_ID ...]
+    python mutation/run.py
 
 The runner copies src, tests and README.md into a temporary directory. It
 first runs the tests that the mutants name on the unmutated copy, which must
@@ -21,10 +21,9 @@ import tempfile
 import time
 from pathlib import Path
 
-ROOT = Path(__file__).resolve().parent.parent
-sys.path.insert(0, str(Path(__file__).resolve().parent))
+from catalogue import MUTANTS  # beside this script, which is first on sys.path
 
-from catalogue import MUTANTS  # noqa: E402
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def pytest(work: Path, tests: list[str]) -> int:
@@ -36,14 +35,9 @@ def pytest(work: Path, tests: list[str]) -> int:
         stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL).returncode
 
 
-def main(argv: list[str]) -> int:
-    unknown = set(argv) - {m["id"] for m in MUTANTS}
-    if unknown:
-        print(f"no mutant {', '.join(sorted(unknown))} in the catalogue")
-        return 1
-    mutants = [m for m in MUTANTS if not argv or m["id"] in argv]
+def main() -> int:
     failed = False
-    for m in mutants:
+    for m in MUTANTS:
         count = (ROOT / m["file"]).read_text().count(m["text"])
         if count != 1:
             print(f"{m['id']}: stale, its text occurs {count} times in {m['file']}")
@@ -56,13 +50,13 @@ def main(argv: list[str]) -> int:
             shutil.copytree(ROOT / part, work / part,
                             ignore=shutil.ignore_patterns("__pycache__"))
         shutil.copy(ROOT / "README.md", work)
-        tests = sorted({t for m in mutants for t in m["tests"]})
+        tests = sorted({t for m in MUTANTS for t in m["tests"]})
         start = time.perf_counter()
         if pytest(work, tests) != 0:
             print("the unmutated copy fails its tests; no mutant can be judged")
             return 1
         print(f"unmutated: passed ({time.perf_counter() - start:.1f} s)")
-        for m in mutants:
+        for m in MUTANTS:
             path = work / m["file"]
             original = path.read_text()
             path.write_text(original.replace(m["text"], m["replacement"]))
@@ -77,4 +71,4 @@ def main(argv: list[str]) -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main(sys.argv[1:]))
+    sys.exit(main())
